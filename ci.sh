@@ -197,13 +197,23 @@ fi
 wait "$SERVE_PID"
 test ! -e "$SOCK"
 
-# Neither the trace collector, the pipeline, the serve daemon, nor the
-# bench harness may unwrap a possibly-poisoned lock (a panicking worker
-# would then take the whole trace — or the shared work-stealing pool, or
-# the hot tier — down with it); all acquisitions go through the trace
-# crate's poison-recovering helper.
-if grep -rn 'lock()\.unwrap()' crates/trace/src/ crates/lasagne/src/ \
-    crates/bench/src/ src/ | grep -v '//'; then
-    echo 'trace, lasagne, bench, and the CLI must use lock_clean(), not lock().unwrap()' >&2
+# Neither the trace collector, the work-stealing pool, the pipeline, the
+# serve daemon, nor the bench harness may unwrap a possibly-poisoned lock
+# (a panicking worker would then take the whole trace — or the shared
+# pool, or the hot tier — down with it); all acquisitions go through the
+# trace crate's poison-recovering helper.
+if grep -rn 'lock()\.unwrap()' crates/trace/src/ crates/pool/src/ \
+    crates/lasagne/src/ crates/bench/src/ src/ | grep -v '//'; then
+    echo 'trace, pool, lasagne, bench, and the CLI must use lock_clean(), not lock().unwrap()' >&2
     exit 1
 fi
+
+# Layering: the pool and the opt driver sit beneath the translator, and
+# the memory-model crate needs only the pool. None of them may depend on
+# the `lasagne` crate (ARCHITECTURE.md "Crate map").
+for crate in lasagne-memmodel lasagne-opt lasagne-pool; do
+    if cargo tree --offline -e normal --prefix none -p "$crate" | grep '^lasagne v'; then
+        echo "layering: $crate depends on the lasagne crate" >&2
+        exit 1
+    fi
+done

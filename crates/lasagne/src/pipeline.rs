@@ -9,12 +9,12 @@
 //! [`pool::Pool`] (std-only; shared process-wide by default), so worker
 //! threads are spawned once and then park between sections instead of
 //! being re-created per stage. Second, the *schedule* is fused: a
-//! function flows lift → refine → fence placement → merge → opt-prefix
-//! as one continuation-style work item, and only the true
+//! function flows lift → refine, and later sweep → fence placement →
+//! merge, as one continuation-style work item, and only the true
 //! interprocedural joins remain barriers — signature discovery /
 //! module assembly (`LiftPlan::finish` + parameter promotion), the fence
 //! merge join (module-wide fence totals + provenance assembly), and the
-//! `ipsccp` gather/join/apply superstep. The manager records a
+//! opt stage's `ipsccp` gather/join/apply superstep. The manager records a
 //! [`PassEvent`] per (stage, function) into a [`TimingSink`] and merges
 //! results *by function index*, which makes the output bit-for-bit
 //! independent of thread scheduling.
@@ -41,14 +41,15 @@
 //! Hence `--jobs N` is byte-identical to `--jobs 1` for every `N` —
 //! asserted by `tests/parallel.rs` over the whole Phoenix suite.
 //!
-//! The opt stage schedules per *function*, not per pass: the
-//! intraprocedural portions of the Figure 17 schedule run as fused
-//! per-function work items (round 0's prefix rides the fused tail item
-//! above), and `ipsccp` runs as a bulk-synchronous superstep — parallel
-//! call-summary gather, serial lattice join, parallel substitution apply
-//! (see `opt::sccp`). Both restructurings are output-equivalent to the
-//! old per-pass module sweeps and are asserted so by
-//! `tests/opt_parallel.rs`.
+//! The opt stage is one call to [`lasagne_opt::sched::optimize`], the
+//! only Figure 17 driver, on this pipeline's pool: it schedules per
+//! *function*, not per pass — each intraprocedural block of the round
+//! runs as one per-function work item, and `ipsccp` runs as a
+//! bulk-synchronous superstep (parallel call-summary gather, serial
+//! lattice join, parallel substitution apply). The manager folds the
+//! driver's `OptRun` into the [`TimingSink`]. `tests/opt_parallel.rs`
+//! asserts the result equals the old per-pass module sweeps and
+//! `lasagne_opt::scheduled_pipeline`, the driver's serial entry point.
 //!
 //! # Example
 //!
@@ -78,7 +79,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod pool;
+pub use lasagne_opt::sched::IpsccpRoundTiming;
+pub use lasagne_pool as pool;
+pub use lasagne_pool::{par_map, par_map_waits};
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -92,8 +95,8 @@ use lasagne_lifter::{LiftPlan, TranslateOptions};
 use lasagne_lir::func::{Function, Module};
 use lasagne_lir::inst::{Callee, InstKind, Operand};
 use lasagne_opt::sccp::IpsccpFact;
-use lasagne_opt::sched::{hist_bucket, HIST_BUCKETS};
-use lasagne_opt::{FuncState, PassKind, SchedStats};
+use lasagne_opt::sched::{hist_bucket, OptRun, PassRun, HIST_BUCKETS};
+use lasagne_opt::{SchedStats, OPT_ORDER};
 use lasagne_trace::{lock_clean, TraceCtx};
 use lasagne_x86::binary::Binary;
 
@@ -198,27 +201,10 @@ impl FuncFenceRecord {
     }
 }
 
-/// The Figure 17 optimization schedule: the `standard_pipeline` order, run
-/// for up to three rounds with `ipsccp` as the interprocedural barrier
-/// (executed as a gather/join/apply superstep; the computation is the
-/// serial algorithm's). Hoisted to a module constant so the cache's
-/// pass-list key and the executed schedule can never drift apart — the
-/// fused blocks are carved out of this same constant at its barrier.
-const OPT_ORDER: [PassKind; 13] = [
-    PassKind::Mem2Reg,
-    PassKind::Sroa,
-    PassKind::Mem2Reg,
-    PassKind::InstCombine,
-    PassKind::Reassociate,
-    PassKind::InstCombine,
-    PassKind::Sccp,
-    PassKind::IpSccp,
-    PassKind::Gvn,
-    PassKind::Licm,
-    PassKind::Dse,
-    PassKind::Adce,
-    PassKind::Dce,
-];
+/// Rounds of the Figure 17 schedule (`lasagne_opt::OPT_ORDER`) the opt
+/// stage runs at most. Named in [`pass_list`], so the cache key and the
+/// executed schedule cannot drift apart.
+const OPT_ROUNDS: usize = 3;
 
 /// The stable description of the pass schedule `version` runs, as folded
 /// into every cache key. Any change to the schedule changes this string
@@ -240,7 +226,7 @@ pub fn pass_list(version: Version) -> String {
             }
             s.push_str(p.name());
         }
-        s.push_str("]x3,compact");
+        s.push_str(&format!("]x{OPT_ROUNDS},compact"));
     }
     s.push_str(",armgen");
     s
@@ -477,9 +463,9 @@ pub struct PassEvent {
 }
 
 /// Aggregated wall time for one optimization pass across every function
-/// and round it ran on (schema 3's `"opt_passes"` table). The fused
-/// per-function schedule times each pass inside the fused work item, so
-/// the per-pass attribution survives the fusion.
+/// and round it ran on (schema 3's `"opt_passes"` table). The opt driver
+/// times each pass inside its per-function work item, so the per-pass
+/// attribution survives the fusion.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OptPassTiming {
     /// Stable pass name (see `PassKind::name`).
@@ -498,25 +484,6 @@ pub struct OptPassTiming {
     pub hist: [u64; HIST_BUCKETS],
 }
 
-/// Timing of one `ipsccp` superstep (schema 3's `"ipsccp_rounds"`): the
-/// parallel gather of per-function call summaries, the serial join that
-/// decides lattice facts, and the parallel apply of the substitutions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IpsccpRoundTiming {
-    /// Optimization round index (0-based).
-    pub round: u32,
-    /// Wall time of the parallel summary-gather phase.
-    pub gather_nanos: u128,
-    /// Wall time of the serial lattice join (the only serial remnant).
-    pub join_nanos: u128,
-    /// Wall time of the parallel substitution phase.
-    pub apply_nanos: u128,
-    /// Lattice facts newly decided this round.
-    pub facts: u64,
-    /// Textual substitutions applied this round.
-    pub substitutions: u64,
-}
-
 /// Collects [`PassEvent`]s from (possibly concurrent) pass executions and
 /// folds them into a [`PipelineReport`].
 ///
@@ -527,7 +494,7 @@ pub struct IpsccpRoundTiming {
 #[derive(Debug, Default)]
 pub struct TimingSink {
     events: Mutex<Vec<PassEvent>>,
-    opt_passes: Mutex<Vec<(&'static str, u128, u64)>>,
+    opt_passes: Mutex<Vec<PassRun>>,
     ipsccp_rounds: Mutex<Vec<IpsccpRoundTiming>>,
     opt_sched: Mutex<Option<SchedStats>>,
     barrier_waits: Mutex<Vec<u128>>,
@@ -548,30 +515,47 @@ impl TimingSink {
         lock_clean(&self.events).push(ev);
     }
 
-    /// Records one pass execution inside a fused opt work item.
-    pub fn record_opt_pass(&self, pass: &'static str, nanos: u128, changes: u64) {
-        lock_clean(&self.opt_passes).push((pass, nanos, changes));
-    }
-
-    /// Records the phase breakdown of one `ipsccp` superstep.
-    pub fn record_ipsccp_round(&self, round: IpsccpRoundTiming) {
-        lock_clean(&self.ipsccp_rounds).push(round);
-    }
-
-    /// Records the opt stage's change-driven scheduler counters. Merged
-    /// if recorded more than once (counts sum, rounds take the max), so
-    /// the counters stay meaningful for sinks shared across runs.
-    pub fn record_opt_sched(&self, stats: &SchedStats) {
+    /// Folds one opt-stage run over the module `m` (as it left the
+    /// driver) into the sink: one [`PassEvent`] per function and one
+    /// module-level event per `ipsccp` join, every pass invocation, the
+    /// superstep timings, the run's parallel sections, and the scheduler
+    /// counters. The counters merge if recorded more than once (counts
+    /// sum, rounds take the max), so they stay meaningful for sinks
+    /// shared across runs.
+    pub fn record_opt(&self, m: &Module, run: &OptRun) {
+        for (i, (f, fo)) in m.funcs.iter().zip(&run.funcs).enumerate() {
+            self.record(PassEvent {
+                stage: Stage::Opt,
+                func: Some((i, f.name.clone())),
+                nanos: fo.nanos,
+                changes: fo.changes as u64,
+                insts: f.live_inst_count() as u64,
+            });
+        }
+        for r in &run.ipsccp_rounds {
+            self.record(PassEvent {
+                stage: Stage::Opt,
+                func: None,
+                nanos: r.join_nanos,
+                changes: r.facts,
+                insts: 0,
+            });
+        }
+        lock_clean(&self.opt_passes).extend_from_slice(&run.passes);
+        lock_clean(&self.ipsccp_rounds).extend_from_slice(&run.ipsccp_rounds);
+        for waits in &run.sections {
+            self.record_parallel_section(Stage::Opt, waits);
+        }
         let mut slot = lock_clean(&self.opt_sched);
         match slot.as_mut() {
-            Some(acc) => acc.merge(stats),
-            None => *slot = Some(*stats),
+            Some(acc) => acc.merge(&run.sched),
+            None => *slot = Some(run.sched),
         }
     }
 
     /// Accounts wall-clock time the orchestrating thread spent inside a
     /// region owned by a single `stage` (the refine fixpoint sections,
-    /// the opt continuation, Arm code generation). Multi-stage fused
+    /// the opt stage, Arm code generation). Multi-stage fused
     /// regions go through [`TimingSink::record_region_wall`] instead, so
     /// that stage walls stay disjoint. (`StageTiming::nanos` is a
     /// different axis: it sums per-function work across concurrent
@@ -696,29 +680,29 @@ impl TimingSink {
             }
         }
         // Aggregate per-pass executions by pass name, in first-seen order
-        // (which is schedule order: the fused blocks walk `OPT_ORDER`).
+        // (which is schedule order: the driver's blocks walk `OPT_ORDER`).
         let mut opt_passes: Vec<OptPassTiming> = Vec::new();
-        for (pass, nanos, changes) in lock_clean(&self.opt_passes).iter() {
-            let bucket = hist_bucket(*changes as usize);
-            match opt_passes.iter_mut().find(|p| p.pass == *pass) {
-                Some(p) => {
-                    p.nanos += nanos;
-                    p.changes += changes;
-                    p.invocations += 1;
-                    p.hist[bucket] += 1;
-                }
+        for run in lock_clean(&self.opt_passes).iter() {
+            let pass = run.pass.name();
+            let bucket = hist_bucket(run.changes);
+            let i = match opt_passes.iter().position(|p| p.pass == pass) {
+                Some(i) => i,
                 None => {
-                    let mut hist = [0u64; HIST_BUCKETS];
-                    hist[bucket] = 1;
                     opt_passes.push(OptPassTiming {
                         pass,
-                        nanos: *nanos,
-                        changes: *changes,
-                        invocations: 1,
-                        hist,
-                    })
+                        nanos: 0,
+                        changes: 0,
+                        invocations: 0,
+                        hist: [0; HIST_BUCKETS],
+                    });
+                    opt_passes.len() - 1
                 }
-            }
+            };
+            let p = &mut opt_passes[i];
+            p.nanos += run.nanos;
+            p.changes += run.changes as u64;
+            p.invocations += 1;
+            p.hist[bucket] += 1;
         }
         let mut ipsccp_rounds = lock_clean(&self.ipsccp_rounds).clone();
         ipsccp_rounds.sort_by_key(|r| r.round);
@@ -1128,49 +1112,6 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Maps `f` over `items` on up to `jobs` workers of the process-wide
-/// shared work-stealing pool ([`Pool::shared`]), returning results in
-/// input order.
-///
-/// Workers claim indices from an atomic counter; result `i` is written to
-/// slot `i`, so the output vector is independent of scheduling. With
-/// `jobs <= 1` (or one item) this degenerates to a plain serial map —
-/// the serial and parallel paths run the *same* closure on the *same*
-/// items, which is what makes `--jobs N` byte-identical to `--jobs 1`.
-/// Nested calls are fine: a work item that itself calls `par_map` (e.g. a
-/// litmus sweep inside a pipeline stage) submits to the same pool, and
-/// blocked callers execute queued tasks while they wait.
-///
-/// # Panics
-///
-/// Propagates panics from `f`.
-pub fn par_map<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    Pool::shared().par_map(jobs, items, f)
-}
-
-/// [`par_map`] that also measures each runner slot's barrier wait: the
-/// time between a runner finishing its last claimed item and the slowest
-/// runner reaching the section's completion latch. The second vector has
-/// one entry per runner slot and is empty when the map ran serially
-/// (`jobs <= 1` or at most one item) — no barrier, no wait.
-///
-/// This is where `--timings`' `barrier_wait_nanos` counters come from: a
-/// schedule whose work items are badly balanced shows up as a few slots
-/// with large waits, without changing any output byte.
-pub fn par_map_waits<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> (Vec<R>, Vec<u128>)
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    Pool::shared().par_map_waits(jobs, items, f)
-}
-
 /// Pipeline configuration: a [`Version`], a worker-thread count, and an
 /// optional on-disk translation cache.
 ///
@@ -1393,30 +1334,12 @@ impl<'s> PassManager<'s> {
         r
     }
 
-    /// [`par_map`] with section accounting: each parallel fan-out bumps
-    /// the stage's `parallel_sections` counter and folds its per-slot
-    /// barrier waits into the sink. Serial executions (one job or one
-    /// item) record nothing — a section only counts when a barrier
-    /// actually formed.
-    fn par_section<T, R, F>(&self, stage: Stage, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        let (out, waits) = self.pool.par_map_waits(self.jobs, items, f);
-        if !waits.is_empty() {
-            self.sink.record_parallel_section(stage, &waits);
-        }
-        out
-    }
-
-    /// [`PassManager::par_section`] for a *fused* section: one fan-out
-    /// whose work items flow through several `stages` back to back (the
-    /// lift→refine head and the sweep→fences→merge→opt-prefix tail of
-    /// the schedule). Accounting goes through
-    /// [`TimingSink::record_fused_section`] so the barrier is counted
-    /// once while every participating stage's section counter moves.
+    /// [`par_map`] for a *fused* section: one fan-out whose work items
+    /// flow through several `stages` back to back (the lift→refine head
+    /// and the sweep→fences→merge tail of the schedule). Accounting goes
+    /// through [`TimingSink::record_fused_section`] so the barrier is
+    /// counted once while every participating stage's section counter
+    /// moves; a serial run (one job or one item) records nothing.
     fn fused_section<T, R, F>(&self, stages: &[Stage], items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -1428,243 +1351,6 @@ impl<'s> PassManager<'s> {
             self.sink.record_fused_section(stages, &waits);
         }
         out
-    }
-
-    /// Runs one per-function pass over every function of `m`, in parallel,
-    /// and records one event per function. `pass` receives the module
-    /// *without its function table* (taken out for ownership) — every
-    /// current pass only consults the module for operand typing, which
-    /// never reads other function bodies. Returns the summed change count.
-    fn func_pass(
-        &self,
-        stage: Stage,
-        m: &mut Module,
-        pass: impl Fn(&Module, usize, &mut Function) -> u64 + Sync,
-    ) -> u64 {
-        let funcs = std::mem::take(&mut m.funcs);
-        let shell: &Module = m;
-        let results = self.par_section(stage, funcs, |i, mut f| {
-            let mut sp = self.trace.span(stage.name(), &f.name);
-            let t0 = Instant::now();
-            let changes = pass(shell, i, &mut f);
-            sp.arg("changes", changes);
-            (f, changes, t0.elapsed().as_nanos())
-        });
-        let mut total = 0;
-        m.funcs = results
-            .into_iter()
-            .enumerate()
-            .map(|(i, (f, changes, nanos))| {
-                self.sink.record(PassEvent {
-                    stage,
-                    func: Some((i, f.name.clone())),
-                    nanos,
-                    changes,
-                    insts: f.live_inst_count() as u64,
-                });
-                total += changes;
-                f
-            })
-            .collect();
-        total
-    }
-
-    /// Runs a block of intraprocedural passes back to back on every
-    /// function as *one* fused parallel work item — one fan-out and one
-    /// barrier for the whole block, instead of one per pass.
-    ///
-    /// Fusion is output-equivalent to the old per-pass module sweeps
-    /// because every intraprocedural pass reads the module only through
-    /// its shell (signatures, globals, externs — constant during the opt
-    /// stage), never through another function's body; the per-function
-    /// pass sequence is therefore the same computation in both schedules,
-    /// and the round's change count is a sum, which reordering cannot
-    /// change. Per-pass wall time is still attributed: each pass is timed
-    /// inside the fused item and recorded via
-    /// [`TimingSink::record_opt_pass`].
-    ///
-    /// Since schema 6 the block is change-driven: each function's
-    /// [`FuncState`] travels with the work item, passes whose dirty bit
-    /// is clear are skipped (provably clean — see `opt::sched`), and the
-    /// per-function [`lasagne_opt::Analyses`] cache is threaded through
-    /// the executed passes. Skips and runs are tallied into `sched`;
-    /// skipped slots record no `opt_passes` invocation.
-    fn fused_opt_block(
-        &self,
-        m: &mut Module,
-        passes: &[PassKind],
-        states: &mut Vec<FuncState>,
-        sched: &mut SchedStats,
-    ) -> u64 {
-        let funcs = std::mem::take(&mut m.funcs);
-        let items: Vec<(Function, FuncState)> =
-            funcs.into_iter().zip(std::mem::take(states)).collect();
-        let shell: &Module = m;
-        let results = self.par_section(Stage::Opt, items, |_, (mut f, mut st)| {
-            let mut sp = self.trace.span("opt", &f.name);
-            let t0 = Instant::now();
-            let mut per_pass: Vec<(PassKind, u128, u64)> = Vec::with_capacity(passes.len());
-            let mut changes = 0;
-            let (mut ran, mut skipped) = (0u64, 0u64);
-            for &pass in passes {
-                if !st.should_run(pass) {
-                    skipped += 1;
-                    continue;
-                }
-                ran += 1;
-                let tp = Instant::now();
-                let eff =
-                    lasagne_opt::run_pass_on_function_eff(pass, shell, &mut f, &mut st.analyses);
-                st.note_ran(pass, &eff);
-                per_pass.push((pass, tp.elapsed().as_nanos(), eff.changes as u64));
-                changes += eff.changes as u64;
-            }
-            sp.arg("changes", changes);
-            (
-                f,
-                st,
-                per_pass,
-                changes,
-                ran,
-                skipped,
-                t0.elapsed().as_nanos(),
-            )
-        });
-        let mut total = 0;
-        m.funcs = results
-            .into_iter()
-            .enumerate()
-            .map(|(i, (f, st, per_pass, changes, ran, skipped, nanos))| {
-                for (pass, pn, pc) in per_pass {
-                    self.sink.record_opt_pass(pass.name(), pn, pc);
-                }
-                self.sink.record(PassEvent {
-                    stage: Stage::Opt,
-                    func: Some((i, f.name.clone())),
-                    nanos,
-                    changes,
-                    insts: f.live_inst_count() as u64,
-                });
-                states.push(st);
-                sched.ran += ran;
-                sched.skipped += skipped;
-                total += changes;
-                f
-            })
-            .collect();
-        total
-    }
-
-    /// One `ipsccp` superstep: a parallel gather of per-function
-    /// [`CallSummary`](lasagne_opt::sccp::CallSummary) snapshots, the
-    /// short serial join that decides interprocedural lattice facts from
-    /// the summaries (the only remaining serial work in the opt stage),
-    /// and a parallel apply of the decided substitutions. Produces the
-    /// exact same module, fact stream, and substitution count as the old
-    /// whole-module serial barrier — the join replays the serial
-    /// algorithm's `(target, param)` decision order over frozen summaries,
-    /// including its intra-invocation cascade (see `opt::sccp`).
-    ///
-    /// Emits the same `opt.ipsccp.*` counters and `lattice-fact` instants
-    /// as `ipsccp_traced`, so traced-run metrics are unchanged, and
-    /// records an [`IpsccpRoundTiming`] with the phase breakdown.
-    ///
-    /// A function that received substitutions was mutated from outside
-    /// its own pass runs, so its [`FuncState`] is marked externally
-    /// changed: every dirty bit set and the analysis cache dropped.
-    fn ipsccp_superstep(
-        &self,
-        m: &mut Module,
-        ip_facts: &mut Vec<IpsccpFact>,
-        round: u32,
-        states: &mut [FuncState],
-    ) -> u64 {
-        let mut sp = self.trace.span("opt", "ipsccp");
-
-        // Phase A (parallel): snapshot every function's call sites and
-        // address-taken references against the frozen module.
-        let tg = Instant::now();
-        let mut summaries = {
-            let funcs = &m.funcs;
-            self.par_section(Stage::Opt, (0..funcs.len()).collect(), |_, i| {
-                lasagne_opt::sccp::summarize_calls(&funcs[i])
-            })
-        };
-        let gather_nanos = tg.elapsed().as_nanos();
-
-        // Phase B (serial): replay the lattice decisions over summaries.
-        let tj = Instant::now();
-        let param_counts: Vec<usize> = m.funcs.iter().map(|f| f.params.len()).collect();
-        let new_facts = lasagne_opt::sccp::ipsccp_join(&param_counts, &mut summaries, ip_facts);
-        let join_nanos = tj.elapsed().as_nanos();
-        self.sink.record(PassEvent {
-            stage: Stage::Opt,
-            func: None,
-            nanos: join_nanos,
-            changes: new_facts.len() as u64,
-            insts: 0,
-        });
-
-        // Phase C (parallel): substitute the decided constants into each
-        // target function. Skipped entirely when the round converged with
-        // no new facts — the common case from round 1 on.
-        let ta = Instant::now();
-        let subs: u64 = if new_facts.is_empty() {
-            0
-        } else {
-            let funcs = std::mem::take(&mut m.funcs);
-            let facts: &[IpsccpFact] = &new_facts;
-            let results = self.par_section(Stage::Opt, funcs, |i, mut f| {
-                let n = lasagne_opt::sccp::apply_ipsccp_facts(&mut f, i as u32, facts) as u64;
-                (f, n)
-            });
-            let mut total = 0;
-            m.funcs = results
-                .into_iter()
-                .enumerate()
-                .map(|(i, (f, n))| {
-                    if n > 0 {
-                        states[i].note_external_change();
-                    }
-                    total += n;
-                    f
-                })
-                .collect();
-            total
-        };
-        let apply_nanos = ta.elapsed().as_nanos();
-
-        self.trace.add("opt.ipsccp.facts", new_facts.len() as u64);
-        self.trace.add("opt.ipsccp.substitutions", subs);
-        if self.trace.is_enabled() {
-            for fact in &new_facts {
-                self.trace.instant(
-                    "opt",
-                    "lattice-fact",
-                    vec![
-                        (
-                            "func",
-                            lasagne_trace::ArgVal::from(m.funcs[fact.func as usize].name.as_str()),
-                        ),
-                        ("param", lasagne_trace::ArgVal::from(fact.param as u64)),
-                        (
-                            "value",
-                            lasagne_trace::ArgVal::from(format!("{:?}", fact.value)),
-                        ),
-                    ],
-                );
-            }
-        }
-        self.sink.record_ipsccp_round(IpsccpRoundTiming {
-            round,
-            gather_nanos,
-            join_nanos,
-            apply_nanos,
-            facts: new_facts.len() as u64,
-            substitutions: subs,
-        });
-        sp.arg("changes", subs);
-        subs
     }
 
     /// Runs the Figure 3 pipeline on `bin`.
@@ -1709,9 +1395,8 @@ impl<'s> PassManager<'s> {
             }
         }
 
-        // The cold path runs as two fused regions plus the opt-stage
-        // continuation, with only the true interprocedural joins as
-        // barriers:
+        // The cold path runs as two fused regions plus the opt stage,
+        // with only the true interprocedural joins as barriers:
         //
         //   region A : per function, lift (+ post-lift counts + the
         //              Figure 14 naive-fence baseline) → refine round 0
@@ -1720,12 +1405,12 @@ impl<'s> PassManager<'s> {
         //   (PPOpt)  : fused [sweep → refine] sections between promotion
         //              joins until the refinement loop converges
         //   tail     : per function, final sweep → fence placement →
-        //              fence merge → opt-prefix round 0
+        //              fence merge
         //   join 2   : fence totals + provenance assembly
-        //   opt      : ipsccp superstep (gather/join/apply — join 3) +
-        //              fused suffix, remaining rounds, compaction
-        //
-        // Six stage-wide barriers under the old schedule; three joins now.
+        //   opt      : `lasagne_opt::sched::optimize` — per round, the
+        //              per-function prefix block, the ipsccp superstep
+        //              (gather/join/apply — join 3), the per-function
+        //              suffix block; then compaction
 
         // ---- Region A: the whole-binary analysis (CFGs, type discovery,
         // shells) is the serial prologue; everything per-function flows as
@@ -1741,8 +1426,9 @@ impl<'s> PassManager<'s> {
             .collect();
         // The module shell refine round 0 runs against *before* finish:
         // globals + externs with an empty function table — exactly the
-        // view `func_pass` gives passes after finish (the function table
-        // is taken out for ownership), so fusing changes nothing.
+        // view the later per-function sections give passes after finish
+        // (the function table is taken out for ownership), so fusing
+        // changes nothing.
         let shell_a = plan.shell_module();
         let a_stages: &[Stage] = if version == Version::PPOpt {
             &[Stage::Lift, Stage::Fences, Stage::Refine]
@@ -1959,27 +1645,10 @@ impl<'s> PassManager<'s> {
 
         // ---- Fused tail: per function, the refinement loop's final
         // sweep (#2), precise fence placement (#3, §8), fence merging
-        // (#4, POpt/PPOpt), the post-merge fence census, and round 0 of
-        // the intraprocedural opt prefix (#5) — one fan-out, one barrier.
+        // (#4, POpt/PPOpt), and the post-merge fence census — one
+        // fan-out, one barrier.
         let wall_tail = Instant::now();
         let explain = self.explain;
-        let opt_split: Option<(&[PassKind], &[PassKind])> = if version != Version::Lifted {
-            let order: &'static [PassKind] = &OPT_ORDER;
-            let barrier = order
-                .iter()
-                .position(|p| p.is_interprocedural())
-                .expect("OPT_ORDER has an interprocedural barrier");
-            debug_assert!(
-                order[barrier + 1..].iter().all(|p| !p.is_interprocedural()),
-                "fused suffix must be intraprocedural"
-            );
-            // The suffix starts *at* the barrier pass: `run_pass_on_function`
-            // for IpSccp is its local sccp cleanup, which the old schedule
-            // ran right after the module-wide barrier.
-            Some(order.split_at(barrier))
-        } else {
-            None
-        };
         let mut tail_stages: Vec<Stage> = Vec::new();
         if version == Version::PPOpt {
             tail_stages.push(Stage::Refine);
@@ -1987,9 +1656,6 @@ impl<'s> PassManager<'s> {
         tail_stages.push(Stage::Fences);
         if matches!(version, Version::POpt | Version::PPOpt) {
             tail_stages.push(Stage::Merge);
-        }
-        if version != Version::Lifted {
-            tail_stages.push(Stage::Opt);
         }
         struct TailOut {
             f: Function,
@@ -2005,23 +1671,8 @@ impl<'s> PassManager<'s> {
             merges: Option<Vec<FenceMerge>>,
             /// Post-merge `(Frm, Fww, Fsc)` counts.
             fences: (usize, usize, usize),
-            /// Opt-prefix round 0 output (non-Lifted).
-            prefix: Option<PrefixOut>,
-        }
-        /// Round 0 of the opt prefix, run inside the fused tail item: the
-        /// timing/change numbers plus the function's scheduler state,
-        /// which the superstep and suffix blocks keep threading.
-        struct PrefixOut {
-            nanos: u128,
-            per_pass: Vec<(PassKind, u128, u64)>,
-            changes: u64,
-            insts: u64,
-            state: FuncState,
-            ran: u64,
-            skipped: u64,
         }
         let funcs = std::mem::take(&mut m.funcs);
-        let shell: &Module = &m;
         let results = self.fused_section(&tail_stages, funcs, |_, mut f| {
             let sweep = (version == Version::PPOpt).then(|| {
                 let mut sp = self.trace.span("refine", &f.name);
@@ -2062,41 +1713,6 @@ impl<'s> PassManager<'s> {
                 (None, None)
             };
             let fences = lasagne_fences::count_fences_fn(&f);
-            let prefix = opt_split.map(|(prefix, _)| {
-                let mut sp = self.trace.span("opt", &f.name);
-                let t0 = Instant::now();
-                let mut st = FuncState::new();
-                let mut per_pass: Vec<(PassKind, u128, u64)> = Vec::with_capacity(prefix.len());
-                let mut changes = 0u64;
-                let (mut ran, mut skipped) = (0u64, 0u64);
-                for &pass in prefix {
-                    if !st.should_run(pass) {
-                        skipped += 1;
-                        continue;
-                    }
-                    ran += 1;
-                    let tp = Instant::now();
-                    let eff = lasagne_opt::run_pass_on_function_eff(
-                        pass,
-                        shell,
-                        &mut f,
-                        &mut st.analyses,
-                    );
-                    st.note_ran(pass, &eff);
-                    per_pass.push((pass, tp.elapsed().as_nanos(), eff.changes as u64));
-                    changes += eff.changes as u64;
-                }
-                sp.arg("changes", changes);
-                PrefixOut {
-                    nanos: t0.elapsed().as_nanos(),
-                    per_pass,
-                    changes,
-                    insts: f.live_inst_count() as u64,
-                    state: st,
-                    ran,
-                    skipped,
-                }
-            });
             TailOut {
                 f,
                 sweep,
@@ -2108,7 +1724,6 @@ impl<'s> PassManager<'s> {
                 merge,
                 merges,
                 fences,
-                prefix,
             }
         });
 
@@ -2118,13 +1733,9 @@ impl<'s> PassManager<'s> {
         let mut casts_final = 0u64;
         let mut fences_placed = 0u64;
         let (mut frm, mut fww, mut fsc) = (0usize, 0usize, 0usize);
-        let mut prefix_changes = 0u64;
-        let mut states: Vec<FuncState> = Vec::with_capacity(nfuncs);
-        let mut sched = SchedStats::default();
         let mut sweep_nanos_total = 0u128;
         let mut place_nanos_total = 0u128;
         let mut merge_nanos_total = 0u128;
-        let mut prefix_nanos_total = 0u128;
         let mut placement = vec![PlacementStats::default(); nfuncs];
         let mut decision_by_func = vec![Vec::new(); nfuncs];
         let mut merge_by_func = vec![Vec::new(); nfuncs];
@@ -2132,77 +1743,44 @@ impl<'s> PassManager<'s> {
             .into_iter()
             .enumerate()
             .map(|(i, out)| {
-                let TailOut {
-                    f,
-                    sweep,
-                    casts,
-                    place_nanos,
-                    place_insts,
-                    ps,
-                    decisions,
-                    merge,
-                    merges,
-                    fences,
-                    prefix,
-                } = out;
-                if let Some((nanos, changes, insts)) = sweep {
+                let name = &out.f.name;
+                if let Some((nanos, changes, insts)) = out.sweep {
                     sweep_nanos_total += nanos;
                     self.sink.record(PassEvent {
                         stage: Stage::Refine,
-                        func: Some((i, f.name.clone())),
+                        func: Some((i, name.clone())),
                         nanos,
                         changes,
                         insts,
                     });
                 }
-                casts_final += casts;
-                place_nanos_total += place_nanos;
+                casts_final += out.casts;
+                place_nanos_total += out.place_nanos;
                 self.sink.record(PassEvent {
                     stage: Stage::Fences,
-                    func: Some((i, f.name.clone())),
-                    nanos: place_nanos,
-                    changes: ps.total() as u64,
-                    insts: place_insts,
+                    func: Some((i, name.clone())),
+                    nanos: out.place_nanos,
+                    changes: out.ps.total() as u64,
+                    insts: out.place_insts,
                 });
-                fences_placed += ps.total() as u64;
-                placement[i] = ps;
-                if let Some(d) = decisions {
-                    decision_by_func[i] = d;
-                }
-                if let Some((nanos, changes, insts)) = merge {
+                fences_placed += out.ps.total() as u64;
+                placement[i] = out.ps;
+                if let Some((nanos, changes, insts)) = out.merge {
                     merge_nanos_total += nanos;
                     self.sink.record(PassEvent {
                         stage: Stage::Merge,
-                        func: Some((i, f.name.clone())),
+                        func: Some((i, name.clone())),
                         nanos,
                         changes,
                         insts,
                     });
                 }
-                if let Some(mg) = merges {
-                    merge_by_func[i] = mg;
-                }
-                frm += fences.0;
-                fww += fences.1;
-                fsc += fences.2;
-                if let Some(p) = prefix {
-                    prefix_nanos_total += p.nanos;
-                    for (pass, pn, pc) in p.per_pass {
-                        self.sink.record_opt_pass(pass.name(), pn, pc);
-                    }
-                    self.sink.record(PassEvent {
-                        stage: Stage::Opt,
-                        func: Some((i, f.name.clone())),
-                        nanos: p.nanos,
-                        changes: p.changes,
-                        insts: p.insts,
-                    });
-                    prefix_changes += p.changes;
-                    states.push(p.state);
-                    sched.ran += p.ran;
-                    sched.skipped += p.skipped;
-                }
-                f
+                decision_by_func[i] = out.decisions.unwrap_or_default();
+                merge_by_func[i] = out.merges.unwrap_or_default();
+                frm += out.fences.0;
+                fww += out.fences.1;
+                fsc += out.fences.2;
+                out.f
             })
             .collect();
         stats.casts_final = casts_final as usize;
@@ -2234,82 +1812,36 @@ impl<'s> PassManager<'s> {
             *lock_clean(&self.provenance) = records;
         }
         let tail_nanos = wall_tail.elapsed().as_nanos();
-        let tail_parts: Vec<(Stage, u128)> = tail_stages
-            .iter()
-            .map(|s| {
-                let cpu = match s {
-                    Stage::Refine => sweep_nanos_total,
-                    Stage::Fences => place_nanos_total,
-                    Stage::Merge => merge_nanos_total,
-                    Stage::Opt => prefix_nanos_total,
-                    _ => 0,
-                };
-                (*s, cpu)
-            })
-            .collect();
+        let tail_parts: Vec<(Stage, u128)> = [
+            (Stage::Refine, sweep_nanos_total),
+            (Stage::Fences, place_nanos_total),
+            (Stage::Merge, merge_nanos_total),
+        ]
+        .into_iter()
+        .filter(|(s, _)| tail_stages.contains(s))
+        .collect();
         self.sink.record_region_wall(&tail_parts, tail_nanos);
         self.sink.record_fused_wall(tail_nanos);
 
-        // #5 continued (everything but Lifted): round 0's intraprocedural
-        // prefix already ran inside the tail items, so finish the round
-        // with the `ipsccp` superstep (parallel gather, serial join,
-        // parallel apply — join 3) and the fused suffix, then run the
-        // remaining rounds on the 3-barrier schedule from PR 5. The
+        // #5 Optimization (everything but Lifted): the Figure 17 round
+        // loop, run by the opt crate's driver on this pipeline's pool. Its
         // ipsccp substitution decisions are logged: each one is an
         // interprocedural fact the target function's cache key digests.
         let mut ip_facts: Vec<IpsccpFact> = Vec::new();
-        let wall = Instant::now();
-        if let Some((prefix, suffix)) = opt_split {
-            sched.rounds = 1;
-            let mut round0 = prefix_changes;
-            {
-                let mut sp = self.trace.span("opt", "round");
-                sp.arg("round", 0u64);
-                round0 += self.ipsccp_superstep(&mut m, &mut ip_facts, 0, &mut states);
-                round0 += self.fused_opt_block(&mut m, suffix, &mut states, &mut sched);
-                sp.arg("changes", round0);
-            }
-            sched.changes += round0 as usize;
-            if round0 != 0 {
-                for round_idx in 1..3u32 {
-                    sched.rounds += 1;
-                    sched.retired += states.iter().filter(|s| s.is_converged()).count() as u64;
-                    let mut sp = self.trace.span("opt", "round");
-                    sp.arg("round", round_idx as u64);
-                    let mut round = 0;
-                    round += self.fused_opt_block(&mut m, prefix, &mut states, &mut sched);
-                    round += self.ipsccp_superstep(&mut m, &mut ip_facts, round_idx, &mut states);
-                    round += self.fused_opt_block(&mut m, suffix, &mut states, &mut sched);
-                    sp.arg("changes", round);
-                    sched.changes += round as usize;
-                    if round == 0 {
-                        break;
-                    }
-                }
-            }
-            // Compaction is a no-op on a function whose arena is already
-            // dense and in block order — `is_compacted()` proves it, so
-            // the rebuild is skipped (byte-identical either way).
-            for f in &m.funcs {
-                if f.is_compacted() {
-                    sched.compact_skipped += 1;
-                } else {
-                    sched.compacted += 1;
-                }
-            }
-            self.func_pass(Stage::Opt, &mut m, |_, _, f| {
-                if !f.is_compacted() {
-                    f.compact();
-                }
-                0
-            });
-            self.trace.add("opt.sched.ran", sched.ran);
-            self.trace.add("opt.sched.skipped", sched.skipped);
-            self.trace.add("opt.sched.retired", sched.retired);
-            self.sink.record_opt_sched(&sched);
+        if version != Version::Lifted {
+            let wall = Instant::now();
+            let run = lasagne_opt::sched::optimize(
+                &mut m,
+                OPT_ROUNDS,
+                &self.pool,
+                self.jobs,
+                &self.trace,
+            );
+            self.sink.record_opt(&m, &run);
+            self.sink
+                .record_stage_wall(Stage::Opt, wall.elapsed().as_nanos());
+            ip_facts = run.facts;
         }
-        self.sink
-            .record_stage_wall(Stage::Opt, wall.elapsed().as_nanos());
         stats.insts_final = m.inst_count();
 
         // Persist the cold result before code generation: everything the
@@ -2385,14 +1917,20 @@ impl<'s> PassManager<'s> {
         debug_assert!(lasagne_lir::verify::verify_module(&m).is_ok());
 
         let wall = Instant::now();
-        let lowered = self.par_section(Stage::ArmGen, (0..m.funcs.len()).collect(), |_, i| {
-            let mut sp = self.trace.span("armgen", &m.funcs[i].name);
-            let t0 = Instant::now();
-            let mut af = lasagne_armgen::lower_function(&m, &m.funcs[i]);
-            let ph = lasagne_armgen::peephole_function_traced(&mut af, &self.trace);
-            sp.arg("removed", ph.removed() as u64);
-            (af, ph, t0.elapsed().as_nanos())
-        });
+        let (lowered, waits) =
+            self.pool
+                .par_map_waits(self.jobs, (0..m.funcs.len()).collect(), |_, i| {
+                    let mut sp = self.trace.span("armgen", &m.funcs[i].name);
+                    let t0 = Instant::now();
+                    let mut af = lasagne_armgen::lower_function(&m, &m.funcs[i]);
+                    let ph = lasagne_armgen::peephole_function_traced(&mut af, &self.trace);
+                    sp.arg("removed", ph.removed() as u64);
+                    (af, ph, t0.elapsed().as_nanos())
+                });
+        // A section only counts when a barrier actually formed.
+        if !waits.is_empty() {
+            self.sink.record_parallel_section(Stage::ArmGen, &waits);
+        }
         let mut afuncs = Vec::with_capacity(lowered.len());
         for (i, (af, ph, nanos)) in lowered.into_iter().enumerate() {
             self.sink.record(PassEvent {

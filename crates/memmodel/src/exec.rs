@@ -330,9 +330,9 @@ pub fn enumerate_partition(prog: &Program, part: ExecPartition) -> Vec<Execution
 /// value: the partition list follows serial enumeration order and the
 /// per-partition results are concatenated by partition index.
 ///
-/// [`Pool::shared`]: lasagne::pipeline::pool::Pool::shared
+/// [`Pool::shared`]: lasagne_pool::Pool::shared
 pub fn enumerate_executions_par(prog: &Program, jobs: usize) -> Vec<Execution> {
-    enumerate_executions_on(lasagne::pipeline::pool::Pool::shared(), prog, jobs)
+    enumerate_executions_on(lasagne_pool::Pool::shared(), prog, jobs)
 }
 
 /// [`enumerate_executions_par`] on an explicit work-stealing pool. The
@@ -342,7 +342,7 @@ pub fn enumerate_executions_par(prog: &Program, jobs: usize) -> Vec<Execution> {
 /// out pushes the partitions onto its own deque and idle siblings steal
 /// them.
 pub fn enumerate_executions_on(
-    pool: &lasagne::pipeline::pool::Pool,
+    pool: &lasagne_pool::Pool,
     prog: &Program,
     jobs: usize,
 ) -> Vec<Execution> {

@@ -244,18 +244,18 @@ pub struct SuiteRow {
 }
 
 /// Runs the exhaustive mapping sweep over the whole [`paper_suite`] on up
-/// to `jobs` worker threads (via [`lasagne::pipeline::par_map`]). Each
+/// to `jobs` worker threads (via [`lasagne_pool::par_map`]). Each
 /// program's outcome enumeration is independent of every other's, so the
 /// result is order-identical to the serial sweep for any `jobs`.
 pub fn sweep_suite(jobs: usize) -> Vec<SuiteRow> {
-    sweep_suite_on(lasagne::pipeline::pool::Pool::shared(), jobs)
+    sweep_suite_on(lasagne_pool::Pool::shared(), jobs)
 }
 
 /// [`sweep_suite`] on an explicit work-stealing pool: the per-program
 /// fan-out submits to `pool` instead of the process-wide shared one, so a
 /// caller that already owns worker threads (the pipeline, `report`'s
 /// whole sweep) reuses them.
-pub fn sweep_suite_on(pool: &lasagne::pipeline::pool::Pool, jobs: usize) -> Vec<SuiteRow> {
+pub fn sweep_suite_on(pool: &lasagne_pool::Pool, jobs: usize) -> Vec<SuiteRow> {
     pool.par_map(jobs, paper_suite(), |_, (name, program)| {
         sweep_row_on(pool, name, program, 1)
     })
@@ -267,12 +267,12 @@ pub fn sweep_suite_on(pool: &lasagne::pipeline::pool::Pool, jobs: usize) -> Vec<
 /// run through [`crate::mapping::check_chain_within`]. Outcome sets are
 /// canonical, so the row is identical to the serial one for any `jobs`.
 pub fn sweep_row(name: &'static str, program: Program, jobs: usize) -> SuiteRow {
-    sweep_row_on(lasagne::pipeline::pool::Pool::shared(), name, program, jobs)
+    sweep_row_on(lasagne_pool::Pool::shared(), name, program, jobs)
 }
 
 /// [`sweep_row`] on an explicit work-stealing pool.
 pub fn sweep_row_on(
-    pool: &lasagne::pipeline::pool::Pool,
+    pool: &lasagne_pool::Pool,
     name: &'static str,
     program: Program,
     jobs: usize,
@@ -306,11 +306,11 @@ pub fn sweep_row_on(
 /// worker idle on the tail. Row-identical to `sweep_suite` for any
 /// `jobs`.
 pub fn sweep_suite_within(jobs: usize) -> Vec<SuiteRow> {
-    sweep_suite_within_on(lasagne::pipeline::pool::Pool::shared(), jobs)
+    sweep_suite_within_on(lasagne_pool::Pool::shared(), jobs)
 }
 
 /// [`sweep_suite_within`] on an explicit work-stealing pool.
-pub fn sweep_suite_within_on(pool: &lasagne::pipeline::pool::Pool, jobs: usize) -> Vec<SuiteRow> {
+pub fn sweep_suite_within_on(pool: &lasagne_pool::Pool, jobs: usize) -> Vec<SuiteRow> {
     paper_suite()
         .into_iter()
         .map(|(name, program)| sweep_row_on(pool, name, program, jobs))

@@ -212,12 +212,12 @@ pub fn check_reverse_chain(p: &Program) -> Result<(), String> {
 /// `jobs` worker threads ([`check_mapping_within`]). Same verdict for any
 /// `jobs`.
 pub fn check_reverse_chain_within(p: &Program, jobs: usize) -> Result<(), String> {
-    check_reverse_chain_on(lasagne::pipeline::pool::Pool::shared(), p, jobs)
+    check_reverse_chain_on(lasagne_pool::Pool::shared(), p, jobs)
 }
 
 /// [`check_reverse_chain_within`] on an explicit work-stealing pool.
 pub fn check_reverse_chain_on(
-    pool: &lasagne::pipeline::pool::Pool,
+    pool: &lasagne_pool::Pool,
     p: &Program,
     jobs: usize,
 ) -> Result<(), String> {
@@ -257,7 +257,7 @@ pub fn check_mapping_within(
     tgt: &Program,
 ) -> Result<(), BTreeSet<Outcome>> {
     check_mapping_on(
-        lasagne::pipeline::pool::Pool::shared(),
+        lasagne_pool::Pool::shared(),
         jobs,
         src_model,
         src,
@@ -268,7 +268,7 @@ pub fn check_mapping_within(
 
 /// [`check_mapping_within`] on an explicit work-stealing pool.
 pub fn check_mapping_on(
-    pool: &lasagne::pipeline::pool::Pool,
+    pool: &lasagne_pool::Pool,
     jobs: usize,
     src_model: Model,
     src: &Program,
@@ -294,15 +294,11 @@ pub fn check_chain(p: &Program) -> Result<(), String> {
 /// [`check_chain`] with each enumeration partitioned across up to `jobs`
 /// worker threads ([`check_mapping_within`]). Same verdict for any `jobs`.
 pub fn check_chain_within(p: &Program, jobs: usize) -> Result<(), String> {
-    check_chain_on(lasagne::pipeline::pool::Pool::shared(), p, jobs)
+    check_chain_on(lasagne_pool::Pool::shared(), p, jobs)
 }
 
 /// [`check_chain_within`] on an explicit work-stealing pool.
-pub fn check_chain_on(
-    pool: &lasagne::pipeline::pool::Pool,
-    p: &Program,
-    jobs: usize,
-) -> Result<(), String> {
+pub fn check_chain_on(pool: &lasagne_pool::Pool, p: &Program, jobs: usize) -> Result<(), String> {
     let ir = x86_to_limm(p);
     let arm = limm_to_arm(&ir);
     check_mapping_on(pool, jobs, Model::X86, p, Model::Limm, &ir)
@@ -315,11 +311,11 @@ pub fn check_chain_on(
 }
 
 /// [`check_chain`] over many programs on up to `jobs` worker threads (via
-/// [`lasagne::pipeline::par_map`]). Verdicts come back in input order —
+/// [`lasagne_pool::par_map`]). Verdicts come back in input order —
 /// the parallel sweep is indistinguishable from mapping `check_chain`
 /// serially.
 pub fn check_chain_all(jobs: usize, programs: Vec<Program>) -> Vec<Result<(), String>> {
-    lasagne::pipeline::par_map(jobs, programs, |_, p| check_chain(&p))
+    lasagne_pool::par_map(jobs, programs, |_, p| check_chain(&p))
 }
 
 #[cfg(test)]

@@ -181,14 +181,14 @@ pub fn outcomes_par(
     prog: &crate::exec::Program,
     jobs: usize,
 ) -> std::collections::BTreeSet<crate::exec::Outcome> {
-    outcomes_on(lasagne::pipeline::pool::Pool::shared(), model, prog, jobs)
+    outcomes_on(lasagne_pool::Pool::shared(), model, prog, jobs)
 }
 
 /// [`outcomes_par`] on an explicit work-stealing pool (see
 /// [`crate::exec::enumerate_executions_on`] for why nested enumerations
 /// share the pipeline's pool instead of spawning their own threads).
 pub fn outcomes_on(
-    pool: &lasagne::pipeline::pool::Pool,
+    pool: &lasagne_pool::Pool,
     model: Model,
     prog: &crate::exec::Program,
     jobs: usize,

@@ -156,56 +156,30 @@ pub fn run_pass_on_function_eff(
     f: &mut Function,
     an: &mut Analyses,
 ) -> PassEffect {
-    match kind {
-        PassKind::IpSccp | PassKind::Sccp => sccp::sccp_eff(m, f, an),
-        PassKind::InstCombine => PassEffect::insts(combine::instcombine_with(m, f, an)),
-        PassKind::Dce => PassEffect::insts(dce::dce_with(f, an)),
-        PassKind::Adce => PassEffect::insts(dce::adce_with(f, an)),
-        PassKind::Licm => {
-            let n = licm::licm_with(f, an);
-            if n > 0 {
-                an.note_insts_changed();
-            }
-            PassEffect::insts(n)
-        }
-        PassKind::Reassociate => {
-            let n = combine::reassociate(m, f);
-            if n > 0 {
-                an.note_insts_changed();
-            }
-            PassEffect::insts(n)
-        }
-        PassKind::Gvn => {
-            let n = gvn::gvn_with(m, f, an) + gvn::load_elim(f);
-            if n > 0 {
-                an.note_insts_changed();
-            }
-            PassEffect::insts(n)
-        }
-        PassKind::Mem2Reg => {
-            let n = mem::mem2reg(f);
-            if n > 0 {
-                an.note_insts_changed();
-            }
-            PassEffect::insts(n)
-        }
+    let n = match kind {
+        PassKind::IpSccp | PassKind::Sccp => return sccp::sccp_eff(m, f, an),
+        // These three store the use counts they maintain back into `an`.
+        PassKind::InstCombine => return PassEffect::insts(combine::instcombine_with(m, f, an)),
+        PassKind::Dce => return PassEffect::insts(dce::dce_with(f, an)),
+        PassKind::Adce => return PassEffect::insts(dce::adce_with(f, an)),
+        PassKind::Licm => licm::licm_with(f, an),
+        PassKind::Reassociate => combine::reassociate(m, f),
+        PassKind::Gvn => gvn::gvn_with(m, f, an) + gvn::load_elim(f),
+        PassKind::Mem2Reg => mem::mem2reg(f),
         // LLVM's SROA both splits and promotes; mirror that.
         PassKind::Sroa => {
             let n = mem::sroa(f);
             if n > 0 {
                 mem::mem2reg(f);
-                an.note_insts_changed();
             }
-            PassEffect::insts(n)
+            n
         }
-        PassKind::Dse => {
-            let n = dse::dse(f) + dse::dse_dead_slots(f);
-            if n > 0 {
-                an.note_insts_changed();
-            }
-            PassEffect::insts(n)
-        }
+        PassKind::Dse => dse::dse(f) + dse::dse_dead_slots(f),
+    };
+    if n > 0 {
+        an.note_insts_changed();
     }
+    PassEffect::insts(n)
 }
 
 fn for_each_function(
@@ -222,9 +196,9 @@ fn for_each_function(
 }
 
 /// The 13 pass slots of one optimization round, in pipeline order. Shared
-/// by [`standard_pipeline`], [`blind_pipeline`], and `lasagne::pipeline`'s
-/// fused driver (whose `pass_list()` cache key is derived from it — the
-/// order is load-bearing for warm-cache compatibility).
+/// by [`sched::optimize`] and [`blind_pipeline`]; `lasagne::pipeline`'s
+/// `pass_list()` cache key is derived from it, so the order is
+/// load-bearing for warm-cache compatibility.
 pub const OPT_ORDER: [PassKind; 13] = [
     PassKind::Mem2Reg,
     PassKind::Sroa,
@@ -241,79 +215,25 @@ pub const OPT_ORDER: [PassKind; 13] = [
     PassKind::Dce,
 ];
 
-/// The standard optimization pipeline ("Opt" in the paper's Figure 12):
-/// iterates the full pass set until a fixpoint (bounded at `max_rounds`).
-/// Returns the total number of changes.
+/// The standard optimization pipeline ("Opt" in the paper's Figure 12),
+/// run serially: [`sched::optimize`] with one job, untraced. Iterates the
+/// pass set until a fixpoint (bounded at `max_rounds`) and returns the
+/// scheduler counters (`changes` is the total change count).
 ///
-/// Since the change-driven scheduler landed this is a shim over
-/// [`scheduled_pipeline`]; the module bytes and change total are identical
-/// to the old blind driver (see [`blind_pipeline`], kept as the oracle).
-pub fn standard_pipeline(m: &mut Module, max_rounds: usize) -> usize {
-    scheduled_pipeline(m, max_rounds).changes
-}
-
-/// The change-driven optimization pipeline: the same 13 slots per round as
-/// [`blind_pipeline`], but each (function, pass) pair runs only while
-/// dirty (see [`sched`]), analyses are cached per function across passes,
-/// and converged functions skip whole rounds plus their final `compact()`.
-///
-/// Byte-identical to [`blind_pipeline`] by construction: a skipped pair is
-/// one whose rerun would provably mutate nothing and report 0 changes, so
-/// per-round change sums — and therefore the round count, the fixpoint,
-/// and the final module — are the blind driver's exactly.
+/// Byte-identical to [`blind_pipeline`]: a pair the change-driven
+/// scheduler skips is one whose rerun would provably mutate nothing and
+/// report 0 changes, so per-round change sums — and therefore the round
+/// count, the fixpoint, and the final module — are the blind driver's
+/// exactly.
 pub fn scheduled_pipeline(m: &mut Module, max_rounds: usize) -> SchedStats {
-    let mut states: Vec<FuncState> = m.funcs.iter().map(|_| FuncState::new()).collect();
-    let mut st = SchedStats::default();
-    for _ in 0..max_rounds {
-        st.rounds += 1;
-        st.retired += states.iter().filter(|s| s.is_converged()).count() as u64;
-        let mut round = 0usize;
-        for p in OPT_ORDER {
-            if p.is_interprocedural() {
-                // The ipSCCP superstep (gather → join → apply), exactly as
-                // `sccp::ipsccp` runs it; a function that received
-                // substitutions is externally mutated and must be fully
-                // reconsidered.
-                let mut summaries: Vec<sccp::CallSummary> =
-                    m.funcs.iter().map(sccp::summarize_calls).collect();
-                let param_counts: Vec<usize> = m.funcs.iter().map(|f| f.params.len()).collect();
-                let new = sccp::ipsccp_join(&param_counts, &mut summaries, &mut Vec::new());
-                for (target, f) in m.funcs.iter_mut().enumerate() {
-                    let subs = sccp::apply_ipsccp_facts(f, target as u32, &new);
-                    if subs > 0 {
-                        states[target].note_external_change();
-                    }
-                    round += subs;
-                }
-            }
-            for fi in 0..m.funcs.len() {
-                if !states[fi].should_run(p) {
-                    st.skipped += 1;
-                    continue;
-                }
-                st.ran += 1;
-                let mut f =
-                    std::mem::replace(&mut m.funcs[fi], Function::new("", vec![], Ty::Void));
-                let eff = run_pass_on_function_eff(p, m, &mut f, &mut states[fi].analyses);
-                m.funcs[fi] = f;
-                states[fi].note_ran(p, &eff);
-                round += eff.changes;
-            }
-        }
-        st.changes += round;
-        if round == 0 {
-            break;
-        }
-    }
-    for f in &mut m.funcs {
-        if f.is_compacted() {
-            st.compact_skipped += 1;
-        } else {
-            f.compact();
-            st.compacted += 1;
-        }
-    }
-    st
+    sched::optimize(
+        m,
+        max_rounds,
+        lasagne_pool::Pool::shared(),
+        1,
+        &lasagne_trace::TraceCtx::disabled(),
+    )
+    .sched
 }
 
 /// The pre-scheduler driver, verbatim: every pass over every function
@@ -439,7 +359,7 @@ mod tests {
         let mut machine = Machine::new(&m);
         let expect = machine.run(id, &[Val::B64(10)]).unwrap().ret;
 
-        standard_pipeline(&mut m, 4);
+        scheduled_pipeline(&mut m, 4);
         verify_module(&m).unwrap();
         let after = m.inst_count();
         assert!(after < before, "pipeline should shrink {before} -> {after}");
@@ -518,7 +438,7 @@ mod tests {
         let before_result = run(&m);
         let before_count = m.inst_count();
 
-        standard_pipeline(&mut m, 4);
+        scheduled_pipeline(&mut m, 4);
         verify_module(&m).unwrap();
 
         let after_result = run(&m);
@@ -573,7 +493,7 @@ mod tests {
         m.add_func(f);
         lasagne_fences::place_fences_module(&mut m, lasagne_fences::Strategy::Naive);
         let before = lasagne_fences::count_fences(&m);
-        standard_pipeline(&mut m, 4);
+        scheduled_pipeline(&mut m, 4);
         let after = lasagne_fences::count_fences(&m);
         assert_eq!(before, after, "optimization must not drop fences");
     }

@@ -187,42 +187,6 @@ pub fn ipsccp(m: &mut Module) -> usize {
     ipsccp_logged(m, &mut Vec::new())
 }
 
-/// [`ipsccp_logged`] recording each lattice transition into `ctx`: the
-/// `opt.ipsccp.facts` / `opt.ipsccp.substitutions` counters plus (when
-/// tracing is enabled) a `lattice-fact` instant event per newly discovered
-/// fact — a parameter dropping from ⊤ (unknown) to a constant. Produces
-/// the exact same module, facts, and count as [`ipsccp_logged`].
-pub fn ipsccp_traced(
-    m: &mut Module,
-    facts: &mut Vec<IpsccpFact>,
-    ctx: &lasagne_trace::TraceCtx,
-) -> usize {
-    let before = facts.len();
-    let subs = ipsccp_logged(m, facts);
-    ctx.add("opt.ipsccp.facts", (facts.len() - before) as u64);
-    ctx.add("opt.ipsccp.substitutions", subs as u64);
-    if ctx.is_enabled() {
-        for fact in &facts[before..] {
-            ctx.instant(
-                "opt",
-                "lattice-fact",
-                vec![
-                    (
-                        "func",
-                        lasagne_trace::ArgVal::from(m.funcs[fact.func as usize].name.as_str()),
-                    ),
-                    ("param", lasagne_trace::ArgVal::from(fact.param as u64)),
-                    (
-                        "value",
-                        lasagne_trace::ArgVal::from(format!("{:?}", fact.value)),
-                    ),
-                ],
-            );
-        }
-    }
-    subs
-}
-
 /// [`ipsccp`], additionally appending every substitution decision to
 /// `facts`. A decision is logged even when the callee no longer uses the
 /// parameter (zero textual substitutions): the decision itself depends on
@@ -233,7 +197,7 @@ pub fn ipsccp_traced(
 /// [`CallSummary`] snapshots, a serial [`ipsccp_join`] that replays the
 /// lattice decisions (including the intra-invocation cascade) over those
 /// frozen summaries, and an [`apply_ipsccp_facts`] substitution phase that
-/// is independent per function. The driver in `lasagne::pipeline` runs the
+/// is independent per function. [`crate::sched::optimize`] runs the
 /// gather and apply phases on its worker pool; this serial entry point runs
 /// the identical phases inline and produces the identical module, facts,
 /// and substitution count.

@@ -18,6 +18,11 @@
 //!   (`ran + skipped` reconciles exactly with the blind driver's
 //!   invocation count, and all counters are jobs-invariant).
 //!
+//! The driver itself is [`optimize`]: the only implementation of the
+//! Figure 17 round loop, shared by `lasagne::pipeline` (at any `--jobs`
+//! value, on the pipeline's pool) and by [`crate::scheduled_pipeline`]
+//! (its serial entry point).
+//!
 //! Soundness argument for byte-identity with the blind driver: a (function,
 //! pass) pair is skipped only if the pass previously ran *clean* (zero
 //! mutation) on that function and no pass with a `feeds` edge into it has
@@ -28,8 +33,14 @@
 //! results, never on cross-function timing, so counters are identical at
 //! any `--jobs` value.
 
-use crate::PassKind;
+use std::time::Instant;
+
+use crate::sccp::{self, IpsccpFact};
+use crate::{run_pass_on_function_eff, PassKind, OPT_ORDER};
 pub use lasagne_lir::analysis::Analyses;
+use lasagne_lir::func::{Function, Module};
+use lasagne_pool::Pool;
+use lasagne_trace::{ArgVal, TraceCtx};
 
 /// Number of distinct passes ([`PassKind::ALL`]).
 pub const NPASS: usize = 11;
@@ -203,7 +214,7 @@ impl FuncState {
 /// `ran + skipped == 13 × nfuncs × rounds`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Total reported changes (the legacy `standard_pipeline` return).
+    /// Total reported changes.
     pub changes: usize,
     /// (function, pass-slot) pairs actually executed.
     pub ran: u64,
@@ -246,6 +257,300 @@ impl SchedStats {
         self.rounds = self.rounds.max(other.rounds);
         self.compacted += other.compacted;
         self.compact_skipped += other.compact_skipped;
+    }
+}
+
+/// Timing of one `ipsccp` superstep: the parallel gather of per-function
+/// call summaries, the serial join that decides lattice facts, and the
+/// parallel apply of the substitutions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IpsccpRoundTiming {
+    /// Optimization round index (0-based).
+    pub round: u32,
+    /// Wall time of the parallel summary-gather phase.
+    pub gather_nanos: u128,
+    /// Wall time of the serial lattice join (the only serial remnant).
+    pub join_nanos: u128,
+    /// Wall time of the parallel substitution phase.
+    pub apply_nanos: u128,
+    /// Lattice facts newly decided this round.
+    pub facts: u64,
+    /// Textual substitutions applied this round.
+    pub substitutions: u64,
+}
+
+/// One executed (function, pass) invocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PassRun {
+    /// The pass that ran.
+    pub pass: PassKind,
+    /// Wall time of the invocation.
+    pub nanos: u128,
+    /// Reported change count.
+    pub changes: usize,
+}
+
+/// Opt work done on one function, summed over every pass block of every
+/// round plus its compaction.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FuncOpt {
+    /// Wall time spent on the function.
+    pub nanos: u128,
+    /// Reported changes.
+    pub changes: usize,
+}
+
+/// Everything one [`optimize`] run reports.
+#[derive(Debug, Clone, Default)]
+pub struct OptRun {
+    /// Scheduler counters.
+    pub sched: SchedStats,
+    /// Every executed (function, pass) invocation, in schedule order:
+    /// round by round, block by block, function by function.
+    pub passes: Vec<PassRun>,
+    /// Per function index.
+    pub funcs: Vec<FuncOpt>,
+    /// One entry per `ipsccp` superstep, in round order.
+    pub ipsccp_rounds: Vec<IpsccpRoundTiming>,
+    /// Every `ipsccp` substitution decision, in decision order — the
+    /// interprocedural facts a function's cache key digests.
+    pub facts: Vec<IpsccpFact>,
+    /// Per-slot barrier waits of each parallel section that formed (one
+    /// entry per section; none when every section ran serially).
+    pub sections: Vec<Vec<u128>>,
+}
+
+/// The Figure 17 optimization driver: up to `max_rounds` rounds of
+/// [`OPT_ORDER`], stopping early after a round that changed nothing, then
+/// compaction of every function not already compacted.
+///
+/// Each round splits [`OPT_ORDER`] at its interprocedural pass. Between
+/// the barriers, each function runs its block of passes back to back as
+/// one work item on `pool` with up to `jobs` workers. A pass whose dirty
+/// bit is clear is skipped ([`FuncState`]). At the barrier, `ipsccp` runs
+/// as a superstep: a parallel gather of call summaries, a serial lattice
+/// join, and a parallel apply of the substitutions (see [`sccp`]). Results
+/// are merged by function index and every pass reads only its own
+/// function and the module's shell, so the module, the counters and the
+/// facts are the same for every `jobs` value.
+///
+/// Traced runs get an `opt` span per round, per superstep and per
+/// function work item, the `opt.ipsccp.*` and `opt.sched.*` counters,
+/// and a `lattice-fact` instant per decided fact.
+pub fn optimize(
+    m: &mut Module,
+    max_rounds: usize,
+    pool: &Pool,
+    jobs: usize,
+    trace: &TraceCtx,
+) -> OptRun {
+    let driver = Driver { pool, jobs, trace };
+    let mut run = OptRun {
+        funcs: vec![FuncOpt::default(); m.funcs.len()],
+        ..OptRun::default()
+    };
+    let mut states: Vec<FuncState> = m.funcs.iter().map(|_| FuncState::new()).collect();
+    for round in 0..max_rounds {
+        run.sched.rounds += 1;
+        run.sched.retired += states.iter().filter(|s| s.is_converged()).count() as u64;
+        let mut sp = trace.span("opt", "round");
+        sp.arg("round", round as u64);
+        let mut changes = 0;
+        for block in OPT_ORDER.chunk_by(|_, next| !next.is_interprocedural()) {
+            if block[0].is_interprocedural() {
+                changes += driver.ipsccp(&mut run, m, round as u32, &mut states);
+            }
+            changes += driver.block(&mut run, m, block, &mut states);
+        }
+        sp.arg("changes", changes as u64);
+        run.sched.changes += changes;
+        if changes == 0 {
+            break;
+        }
+    }
+    driver.compact(&mut run, m);
+    trace.add("opt.sched.ran", run.sched.ran);
+    trace.add("opt.sched.skipped", run.sched.skipped);
+    trace.add("opt.sched.retired", run.sched.retired);
+    run
+}
+
+struct Driver<'a> {
+    pool: &'a Pool,
+    jobs: usize,
+    trace: &'a TraceCtx,
+}
+
+impl Driver<'_> {
+    /// A fan-out over `items`, recording its barrier waits when a
+    /// parallel section actually formed.
+    fn section<T, R, F>(&self, run: &mut OptRun, items: Vec<T>, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(usize, T) -> R + Sync,
+    {
+        let (out, waits) = self.pool.par_map_waits(self.jobs, items, f);
+        if !waits.is_empty() {
+            run.sections.push(waits);
+        }
+        out
+    }
+
+    /// Runs `passes` back to back on every function, one work item per
+    /// function carrying its [`FuncState`]. The functions are taken out of
+    /// `m` for the section, so passes see only the module's shell.
+    /// Returns the summed change count.
+    fn block(
+        &self,
+        run: &mut OptRun,
+        m: &mut Module,
+        passes: &[PassKind],
+        states: &mut Vec<FuncState>,
+    ) -> usize {
+        let items: Vec<(Function, FuncState)> = std::mem::take(&mut m.funcs)
+            .into_iter()
+            .zip(std::mem::take(states))
+            .collect();
+        let shell: &Module = m;
+        let trace = self.trace;
+        let results = self.section(run, items, |_, (mut f, mut st)| {
+            let mut sp = trace.span("opt", &f.name);
+            let t0 = Instant::now();
+            let mut runs = Vec::with_capacity(passes.len());
+            for &pass in passes {
+                if !st.should_run(pass) {
+                    continue;
+                }
+                let tp = Instant::now();
+                let eff = run_pass_on_function_eff(pass, shell, &mut f, &mut st.analyses);
+                st.note_ran(pass, &eff);
+                runs.push(PassRun {
+                    pass,
+                    nanos: tp.elapsed().as_nanos(),
+                    changes: eff.changes,
+                });
+            }
+            let changes: usize = runs.iter().map(|r| r.changes).sum();
+            sp.arg("changes", changes as u64);
+            (f, st, runs, changes, t0.elapsed().as_nanos())
+        });
+        let mut total = 0;
+        for (i, (f, st, runs, changes, nanos)) in results.into_iter().enumerate() {
+            run.sched.ran += runs.len() as u64;
+            run.sched.skipped += (passes.len() - runs.len()) as u64;
+            run.funcs[i].nanos += nanos;
+            run.funcs[i].changes += changes;
+            run.passes.extend(runs);
+            total += changes;
+            m.funcs.push(f);
+            states.push(st);
+        }
+        total
+    }
+
+    /// One `ipsccp` superstep: gather per-function call summaries in
+    /// parallel, decide the lattice facts in a serial join that replays
+    /// the serial algorithm's `(target, param)` order, and apply the
+    /// substitutions in parallel. A function that received substitutions
+    /// was mutated from outside its own pass runs, so its [`FuncState`]
+    /// is reset. Returns the substitution count.
+    fn ipsccp(
+        &self,
+        run: &mut OptRun,
+        m: &mut Module,
+        round: u32,
+        states: &mut [FuncState],
+    ) -> usize {
+        let mut sp = self.trace.span("opt", "ipsccp");
+        let tg = Instant::now();
+        let mut summaries = {
+            let funcs = &m.funcs;
+            self.section(run, (0..funcs.len()).collect(), |_, i| {
+                sccp::summarize_calls(&funcs[i])
+            })
+        };
+        let gather_nanos = tg.elapsed().as_nanos();
+
+        let tj = Instant::now();
+        let param_counts: Vec<usize> = m.funcs.iter().map(|f| f.params.len()).collect();
+        let new_facts = sccp::ipsccp_join(&param_counts, &mut summaries, &mut run.facts);
+        let join_nanos = tj.elapsed().as_nanos();
+
+        // Skipped when the round decided nothing new — the common case
+        // from round 1 on.
+        let ta = Instant::now();
+        let mut subs = 0;
+        if !new_facts.is_empty() {
+            let facts: &[IpsccpFact] = &new_facts;
+            let results = self.section(run, std::mem::take(&mut m.funcs), |i, mut f| {
+                let n = sccp::apply_ipsccp_facts(&mut f, i as u32, facts);
+                (f, n)
+            });
+            for (i, (f, n)) in results.into_iter().enumerate() {
+                if n > 0 {
+                    states[i].note_external_change();
+                }
+                subs += n;
+                m.funcs.push(f);
+            }
+        }
+        let apply_nanos = ta.elapsed().as_nanos();
+
+        self.trace.add("opt.ipsccp.facts", new_facts.len() as u64);
+        self.trace.add("opt.ipsccp.substitutions", subs as u64);
+        if self.trace.is_enabled() {
+            for fact in &new_facts {
+                self.trace.instant(
+                    "opt",
+                    "lattice-fact",
+                    vec![
+                        (
+                            "func",
+                            ArgVal::from(m.funcs[fact.func as usize].name.as_str()),
+                        ),
+                        ("param", ArgVal::from(fact.param as u64)),
+                        ("value", ArgVal::from(format!("{:?}", fact.value))),
+                    ],
+                );
+            }
+        }
+        run.ipsccp_rounds.push(IpsccpRoundTiming {
+            round,
+            gather_nanos,
+            join_nanos,
+            apply_nanos,
+            facts: new_facts.len() as u64,
+            substitutions: subs as u64,
+        });
+        sp.arg("changes", subs as u64);
+        subs
+    }
+
+    /// Compacts every function whose arena is not already dense and in
+    /// block order; `is_compacted()` proves the skipped rebuilds would be
+    /// no-ops.
+    fn compact(&self, run: &mut OptRun, m: &mut Module) {
+        let trace = self.trace;
+        let results = self.section(run, std::mem::take(&mut m.funcs), |_, mut f| {
+            let mut sp = trace.span("opt", &f.name);
+            let t0 = Instant::now();
+            let compacted = !f.is_compacted();
+            if compacted {
+                f.compact();
+            }
+            sp.arg("changes", 0u64);
+            (f, compacted, t0.elapsed().as_nanos())
+        });
+        for (i, (f, compacted, nanos)) in results.into_iter().enumerate() {
+            if compacted {
+                run.sched.compacted += 1;
+            } else {
+                run.sched.compact_skipped += 1;
+            }
+            run.funcs[i].nanos += nanos;
+            m.funcs.push(f);
+        }
     }
 }
 

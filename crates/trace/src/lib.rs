@@ -83,7 +83,7 @@ pub fn current_track() -> u32 {
 /// statement, so recovery is always safe — and an `unwrap()` here would
 /// let one panicking worker take the whole trace (or the work-stealing
 /// pool) down with it. Public so the pipeline's `TimingSink` and
-/// `pipeline::pool` share the one poison policy; `ci.sh` greps both
+/// `lasagne-pool` share the one poison policy; `ci.sh` greps both
 /// crates for raw `lock().unwrap()` calls.
 ///
 /// ```

@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use lasagne::pipeline::module_key;
+use lasagne::pipeline::{module_key, pass_list};
 use lasagne::{Pipeline, Stage, Version};
 use lasagne_cache::TranslationCache;
 use lasagne_phoenix::all_benchmarks;
@@ -285,4 +285,28 @@ fn corruption_degrades_to_miss_and_self_heals() {
     assert_eq!(text4, cold_text);
     assert!(c4.warm);
     assert_eq!((c4.hits, c4.misses), (nfuncs, 0));
+}
+
+/// The pass list feeds every cache key: a change to it must be a
+/// deliberate one, made together with this pin.
+#[test]
+fn pass_list_is_pinned_for_every_version() {
+    const OPT: &str = "opt[mem2reg+sroa+mem2reg+instcombine+reassociate+instcombine+\
+                       sccp+ipsccp+gvn+licm+dse+adce+dce]x3,compact";
+    assert_eq!(
+        pass_list(Version::Lifted),
+        "lift,fences-naive,fences-stack,armgen"
+    );
+    assert_eq!(
+        pass_list(Version::Opt),
+        format!("lift,fences-naive,fences-stack,{OPT},armgen")
+    );
+    assert_eq!(
+        pass_list(Version::POpt),
+        format!("lift,fences-naive,fences-stack,merge,{OPT},armgen")
+    );
+    assert_eq!(
+        pass_list(Version::PPOpt),
+        format!("lift,fences-naive,refine[refine,promote,sweep]x3,fences-stack,merge,{OPT},armgen")
+    );
 }

@@ -52,6 +52,11 @@ fn fused_opt_matches_serial_reference_for_all_versions() {
     for b in all_benchmarks(48) {
         for v in Version::ALL {
             let (expected, invocations) = serial_reference(&b.binary, v);
+            // The serial entry point the benchmark's per-layer replay
+            // times; `Pipeline::run` must be running the same driver.
+            let serial_sched = (v != Version::Lifted).then(|| {
+                lasagne_repro::opt::scheduled_pipeline(&mut pre_opt_module(&b.binary, v), 3)
+            });
             for jobs in [1, 4] {
                 let (t, report) = Pipeline::new(v).with_jobs(jobs).run(&b.binary).unwrap();
                 assert_eq!(
@@ -59,6 +64,14 @@ fn fused_opt_matches_serial_reference_for_all_versions() {
                     t.module,
                     "{} under {} at jobs={jobs}: fused schedule diverged from \
                      the serial module-wide reference",
+                    b.name,
+                    v.name()
+                );
+                assert_eq!(
+                    report.opt_sched,
+                    serial_sched,
+                    "{} under {} at jobs={jobs}: Pipeline::run's scheduler \
+                     counters differ from scheduled_pipeline's",
                     b.name,
                     v.name()
                 );
