@@ -208,10 +208,10 @@ if grep -rn 'lock()\.unwrap()' crates/trace/src/ crates/pool/src/ \
     exit 1
 fi
 
-# Layering: the pool and the opt driver sit beneath the translator, and
-# the memory-model crate needs only the pool. None of them may depend on
-# the `lasagne` crate (ARCHITECTURE.md "Crate map").
-for crate in lasagne-memmodel lasagne-opt lasagne-pool; do
+# Layering: the pool and the refine and opt drivers sit beneath the
+# translator, and the memory-model crate needs only the pool. None of them
+# may depend on the `lasagne` crate (ARCHITECTURE.md "Crate map").
+for crate in lasagne-memmodel lasagne-opt lasagne-pool lasagne-refine; do
     if cargo tree --offline -e normal --prefix none -p "$crate" | grep '^lasagne v'; then
         echo "layering: $crate depends on the lasagne crate" >&2
         exit 1

@@ -9,15 +9,16 @@
 //! [`pool::Pool`] (std-only; shared process-wide by default), so worker
 //! threads are spawned once and then park between sections instead of
 //! being re-created per stage. Second, the *schedule* is fused: a
-//! function flows lift → refine, and later sweep → fence placement →
-//! merge, as one continuation-style work item, and only the true
-//! interprocedural joins remain barriers — signature discovery /
-//! module assembly (`LiftPlan::finish` + parameter promotion), the fence
-//! merge join (module-wide fence totals + provenance assembly), and the
-//! opt stage's `ipsccp` gather/join/apply superstep. The manager records a
-//! [`PassEvent`] per (stage, function) into a [`TimingSink`] and merges
-//! results *by function index*, which makes the output bit-for-bit
-//! independent of thread scheduling.
+//! function flows lift → naive-fence baseline, and later fence placement
+//! → merge, as one continuation-style work item, and only the true
+//! interprocedural joins remain barriers — module assembly
+//! (`LiftPlan::finish`), the fence merge join (module-wide fence totals +
+//! provenance assembly), and the drivers' own joins: refinement's
+//! parameter promotion and the opt stage's `ipsccp` gather/join/apply
+//! superstep. Each per-function unit of work records its trace span and
+//! its [`PassEvent`] into a [`TimingSink`] at one site, inside its work
+//! item; results are merged *by function index*, which makes the output
+//! bit-for-bit independent of thread scheduling.
 //!
 //! # Determinism
 //!
@@ -41,15 +42,17 @@
 //! Hence `--jobs N` is byte-identical to `--jobs 1` for every `N` —
 //! asserted by `tests/parallel.rs` over the whole Phoenix suite.
 //!
-//! The opt stage is one call to [`lasagne_opt::sched::optimize`], the
-//! only Figure 17 driver, on this pipeline's pool: it schedules per
-//! *function*, not per pass — each intraprocedural block of the round
-//! runs as one per-function work item, and `ipsccp` runs as a
-//! bulk-synchronous superstep (parallel call-summary gather, serial
-//! lattice join, parallel substitution apply). The manager folds the
-//! driver's `OptRun` into the [`TimingSink`]. `tests/opt_parallel.rs`
-//! asserts the result equals the old per-pass module sweeps and
-//! `lasagne_opt::scheduled_pipeline`, the driver's serial entry point.
+//! The refine and opt stages are one call each to their crate's driver
+//! on this pipeline's pool: [`lasagne_refine::refine`], the only §5
+//! refine → promote → sweep loop, and [`lasagne_opt::sched::optimize`],
+//! the only Figure 17 driver. The opt driver schedules per *function*,
+//! not per pass — each intraprocedural block of the round runs as one
+//! per-function work item, and `ipsccp` runs as a bulk-synchronous
+//! superstep (parallel call-summary gather, serial lattice join, parallel
+//! substitution apply). The manager folds each driver's run into the
+//! [`TimingSink`] (`record_refine`, `record_opt`). `tests/opt_parallel.rs`
+//! asserts both equal their serial entry points,
+//! `lasagne_refine::refine_module` and `lasagne_opt::scheduled_pipeline`.
 //!
 //! # Example
 //!
@@ -94,9 +97,11 @@ use lasagne_fences::{FenceDecision, FenceFate, FenceMerge, PlacementStats, Strat
 use lasagne_lifter::{LiftPlan, TranslateOptions};
 use lasagne_lir::func::{Function, Module};
 use lasagne_lir::inst::{Callee, InstKind, Operand};
+use lasagne_lir::verify::verify_module;
 use lasagne_opt::sccp::IpsccpFact;
 use lasagne_opt::sched::{hist_bucket, OptRun, PassRun, HIST_BUCKETS};
 use lasagne_opt::{SchedStats, OPT_ORDER};
+use lasagne_refine::{RefineRun, REFINE_ROUNDS};
 use lasagne_trace::{lock_clean, TraceCtx};
 use lasagne_x86::binary::Binary;
 
@@ -148,6 +153,17 @@ use pool::Pool;
 ///   value. Schema-5 consumers that ignore unknown fields still parse
 ///   every field they knew about, but should not compare `"invocations"`
 ///   against schema-5 era documents without adding back `"skipped"`.
+///
+///   Within schema 6 the section counters moved once, with no field
+///   added or removed: when refinement became one driver
+///   (`lasagne_refine::refine`), its rounds left the fused lift and fence
+///   regions and now run as plain refine sections (one per round, plus a
+///   final sweep when the last promotion promoted anything), and a
+///   single-stage fan-out (the Lifted/Opt fence tail) stopped counting
+///   as fused. Only `"parallel_sections"` and `"fused"."sections"`
+///   differ across that change; the per-function `index`/`changes`/
+///   `insts`, `"opt_passes"` counts and histograms, and `"opt_sched"`
+///   are identical.
 pub const REPORT_SCHEMA: u32 = 6;
 
 /// Fence provenance for one function, collected by an explain-enabled
@@ -212,7 +228,7 @@ const OPT_ROUNDS: usize = 3;
 pub fn pass_list(version: Version) -> String {
     let mut s = String::from("lift,fences-naive");
     if version == Version::PPOpt {
-        s.push_str(",refine[refine,promote,sweep]x3");
+        s.push_str(&format!(",refine[refine,promote,sweep]x{REFINE_ROUNDS}"));
     }
     s.push_str(",fences-stack");
     if matches!(version, Version::POpt | Version::PPOpt) {
@@ -544,7 +560,7 @@ impl TimingSink {
         lock_clean(&self.opt_passes).extend_from_slice(&run.passes);
         lock_clean(&self.ipsccp_rounds).extend_from_slice(&run.ipsccp_rounds);
         for waits in &run.sections {
-            self.record_parallel_section(Stage::Opt, waits);
+            self.record_section(&[Stage::Opt], waits);
         }
         let mut slot = lock_clean(&self.opt_sched);
         match slot.as_mut() {
@@ -553,28 +569,62 @@ impl TimingSink {
         }
     }
 
-    /// Accounts wall-clock time the orchestrating thread spent inside a
-    /// region owned by a single `stage` (the refine fixpoint sections,
-    /// the opt stage, Arm code generation). Multi-stage fused
-    /// regions go through [`TimingSink::record_region_wall`] instead, so
-    /// that stage walls stay disjoint. (`StageTiming::nanos` is a
-    /// different axis: it sums per-function work across concurrent
-    /// worker threads and can exceed the wall.)
-    pub fn record_stage_wall(&self, stage: Stage, nanos: u128) {
-        lock_clean(&self.stage_walls)[stage.index()] += nanos;
+    /// Folds one refine-stage run over the module `m` (as it left the
+    /// driver) into the sink: one [`PassEvent`] per function, one
+    /// module-level event per parameter-promotion join, and the run's
+    /// parallel sections.
+    pub fn record_refine(&self, m: &Module, run: &RefineRun) {
+        for (i, (f, fr)) in m.funcs.iter().zip(&run.funcs).enumerate() {
+            self.record(PassEvent {
+                stage: Stage::Refine,
+                func: Some((i, f.name.clone())),
+                nanos: fr.nanos,
+                changes: fr.changes,
+                insts: fr.insts,
+            });
+        }
+        for p in &run.promotes {
+            self.record(PassEvent {
+                stage: Stage::Refine,
+                func: None,
+                nanos: p.nanos,
+                changes: p.promoted as u64,
+                insts: 0,
+            });
+        }
+        for waits in &run.sections {
+            self.record_section(&[Stage::Refine], waits);
+        }
     }
 
-    /// Accounts the wall clock of one *fused* region by splitting it
-    /// across the region's member stages in proportion to the CPU time
-    /// each stage's work items consumed inside that region (`parts`
-    /// pairs every member with its in-region CPU nanos; a zero-CPU
-    /// region falls back to an equal split). The shares partition the
-    /// region's wall exactly — the schema-5 guarantee that per-stage
-    /// `wall_nanos` are disjoint extents summing to the fused wall,
-    /// instead of schema 4's every-member-charged-in-full overlap.
+    /// Summed event nanoseconds per stage (in [`Stage::ALL`] order) — the
+    /// CPU recorded so far, which [`TimingSink::record_region_wall`]
+    /// splits a region's wall by.
+    fn stage_nanos(&self) -> [u128; 6] {
+        let mut out = [0u128; 6];
+        for ev in lock_clean(&self.events).iter() {
+            out[ev.stage.index()] += ev.nanos;
+        }
+        out
+    }
+
+    /// Accounts the wall clock the orchestrating thread spent inside one
+    /// region by splitting it across the region's member stages in
+    /// proportion to the CPU each stage's work consumed inside that
+    /// region (`parts` pairs every member with its in-region CPU nanos; a
+    /// zero-CPU region falls back to an equal split). The shares
+    /// partition the region's wall exactly — the schema-5 guarantee that
+    /// per-stage `wall_nanos` are disjoint extents. A region with more
+    /// than one member is *fused*, and its wall also counts toward the
+    /// report's `"fused"` block. (`StageTiming::nanos` is a different
+    /// axis: it sums per-function work across concurrent worker threads
+    /// and can exceed the wall.)
     pub fn record_region_wall(&self, parts: &[(Stage, u128)], wall: u128) {
         if parts.is_empty() {
             return;
+        }
+        if parts.len() > 1 {
+            *lock_clean(&self.fused_wall) += wall;
         }
         let total: u128 = parts.iter().map(|(_, cpu)| *cpu).sum();
         let mut walls = lock_clean(&self.stage_walls);
@@ -594,36 +644,24 @@ impl TimingSink {
         }
     }
 
-    /// Accounts one completed parallel section in `stage`: per worker
-    /// slot, the time it idled between finishing its last work item and
-    /// the slowest worker reaching the section's join point.
-    pub fn record_parallel_section(&self, stage: Stage, waits: &[u128]) {
-        lock_clean(&self.parallel_sections)[stage.index()] += 1;
-        self.fold_waits(waits);
-    }
-
-    /// Accounts one completed *fused* parallel section — a single
-    /// fan-out whose work items each flow through several `stages` back
-    /// to back. Every participating stage's `parallel_sections` counter
-    /// is bumped, the per-slot barrier waits are folded in **once** (one
-    /// barrier formed, not one per stage), and the section counts toward
-    /// the report's `"fused"` block.
-    pub fn record_fused_section(&self, stages: &[Stage], waits: &[u128]) {
+    /// Accounts one completed parallel section whose work items each flow
+    /// through `stages` back to back: every member's
+    /// `parallel_sections` counter moves, and the per-slot barrier waits
+    /// — the time a slot idled between finishing its last work item and
+    /// the slowest slot reaching the join — are folded in **once** (one
+    /// barrier formed, not one per stage). A section with more than one
+    /// member is *fused* and counts toward the report's `"fused"` block.
+    pub fn record_section(&self, stages: &[Stage], waits: &[u128]) {
         {
             let mut sections = lock_clean(&self.parallel_sections);
             for s in stages {
                 sections[s.index()] += 1;
             }
         }
-        *lock_clean(&self.fused_sections) += 1;
+        if stages.len() > 1 {
+            *lock_clean(&self.fused_sections) += 1;
+        }
         self.fold_waits(waits);
-    }
-
-    /// Accounts wall-clock time spent inside fused regions (summed over
-    /// the run's fused sections and their adjacent serial joins, as seen
-    /// by the orchestrating thread).
-    pub fn record_fused_wall(&self, nanos: u128) {
-        *lock_clean(&self.fused_wall) += nanos;
     }
 
     fn fold_waits(&self, waits: &[u128]) {
@@ -1093,10 +1131,10 @@ impl PipelineReport {
 /// Counts `IntToPtr`/`PtrToInt` instructions in one function. Module
 /// totals are per-function sums, so the fused schedule can census casts
 /// inside each work item and fold at the join without a module-wide pass.
-fn count_casts_fn(f: &Function) -> u64 {
+fn count_casts_fn(f: &Function) -> usize {
     f.iter_insts()
         .filter(|&(_, id)| f.inst(id).kind.is_int_ptr_cast())
-        .count() as u64
+        .count()
 }
 
 fn json_escape(s: &str) -> String {
@@ -1318,7 +1356,7 @@ impl<'s> PassManager<'s> {
     }
 
     /// Times a serial module-level barrier step and records it. `label`
-    /// names the step's trace span (e.g. `"prepare"`, `"ipsccp"`).
+    /// names the step's trace span (e.g. `"prepare"`, `"verify"`).
     fn module_step<R>(&self, stage: Stage, label: &str, work: impl FnOnce() -> (R, u64)) -> R {
         let mut sp = self.trace.span(stage.name(), label);
         let t0 = Instant::now();
@@ -1334,13 +1372,37 @@ impl<'s> PassManager<'s> {
         r
     }
 
-    /// [`par_map`] for a *fused* section: one fan-out whose work items
-    /// flow through several `stages` back to back (the lift→refine head
-    /// and the sweep→fences→merge tail of the schedule). Accounting goes
-    /// through [`TimingSink::record_fused_section`] so the barrier is
-    /// counted once while every participating stage's section counter
-    /// moves; a serial run (one job or one item) records nothing.
-    fn fused_section<T, R, F>(&self, stages: &[Stage], items: Vec<T>, f: F) -> Vec<R>
+    /// One per-function unit of `stage` work, measured at one site inside
+    /// its work item: a trace span named after function `i` carrying the
+    /// change count as `arg`, the unit's wall time, and one [`PassEvent`].
+    /// `work` returns its result, its change count, and the function's
+    /// live instruction count afterwards.
+    fn unit<R>(
+        &self,
+        stage: Stage,
+        i: usize,
+        name: &str,
+        arg: &'static str,
+        work: impl FnOnce() -> (R, u64, u64),
+    ) -> R {
+        let mut sp = self.trace.span(stage.name(), name);
+        let t0 = Instant::now();
+        let (r, changes, insts) = work();
+        sp.arg(arg, changes);
+        self.sink.record(PassEvent {
+            stage,
+            func: Some((i, name.to_string())),
+            nanos: t0.elapsed().as_nanos(),
+            changes,
+            insts,
+        });
+        r
+    }
+
+    /// [`par_map`] whose work items each flow through `stages` back to
+    /// back (see [`TimingSink::record_section`]); a serial run (one job or
+    /// one item) records nothing.
+    fn section<T, R, F>(&self, stages: &[Stage], items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
         R: Send,
@@ -1348,9 +1410,26 @@ impl<'s> PassManager<'s> {
     {
         let (out, waits) = self.pool.par_map_waits(self.jobs, items, f);
         if !waits.is_empty() {
-            self.sink.record_fused_section(stages, &waits);
+            self.sink.record_section(stages, &waits);
         }
         out
+    }
+
+    /// Runs `body` on the orchestrating thread as one region of `stages`
+    /// and accounts its wall clock, split by the CPU each stage's events
+    /// recorded inside it (see [`TimingSink::record_region_wall`]).
+    fn region<R>(&self, stages: &[Stage], body: impl FnOnce() -> R) -> R {
+        let before = self.sink.stage_nanos();
+        let t0 = Instant::now();
+        let r = body();
+        let wall = t0.elapsed().as_nanos();
+        let after = self.sink.stage_nanos();
+        let parts: Vec<(Stage, u128)> = stages
+            .iter()
+            .map(|s| (*s, after[s.index()] - before[s.index()]))
+            .collect();
+        self.sink.record_region_wall(&parts, wall);
+        r
     }
 
     /// Runs the Figure 3 pipeline on `bin`.
@@ -1395,407 +1474,181 @@ impl<'s> PassManager<'s> {
             }
         }
 
-        // The cold path runs as two fused regions plus the opt stage,
-        // with only the true interprocedural joins as barriers:
+        // The cold path runs two fused regions and the refine and opt
+        // drivers, with only the true interprocedural joins as barriers:
         //
         //   region A : per function, lift (+ post-lift counts + the
-        //              Figure 14 naive-fence baseline) → refine round 0
+        //              Figure 14 naive-fence baseline)
         //   join 1   : error propagation, `LiftPlan::finish` (module
-        //              assembly + verification), parameter promotion
-        //   (PPOpt)  : fused [sweep → refine] sections between promotion
-        //              joins until the refinement loop converges
-        //   tail     : per function, final sweep → fence placement →
-        //              fence merge
+        //              assembly + verification)
+        //   refine   : (PPOpt) `lasagne_refine::refine` — per round, a
+        //              per-function section and the parameter-promotion
+        //              join; then the owed final sweep, and verification
+        //   tail     : per function, fence placement → fence merge
         //   join 2   : fence totals + provenance assembly
         //   opt      : `lasagne_opt::sched::optimize` — per round, the
         //              per-function prefix block, the ipsccp superstep
         //              (gather/join/apply — join 3), the per-function
         //              suffix block; then compaction
+        let (mut m, addrs, mut stats) =
+            self.region(&[Stage::Lift, Stage::Fences], || self.lift(bin))?;
 
-        // ---- Region A: the whole-binary analysis (CFGs, type discovery,
-        // shells) is the serial prologue; everything per-function flows as
-        // one fused work item.
-        let wall_a = Instant::now();
+        // #2 IR refinement (§5, PPOpt only). `finish` verified the lifted
+        // bodies; refinement rewrote them, so the module is verified again.
+        if version == Version::PPOpt {
+            self.region(&[Stage::Refine], || {
+                let run = lasagne_refine::refine(&mut m, &self.pool, self.jobs, &self.trace);
+                self.sink.record_refine(&m, &run);
+                self.module_step(Stage::Refine, "verify", || {
+                    (verify_module(&m).map_err(LiftError::Verify), 0)
+                })
+            })?;
+        }
+
+        // #3 fence placement (§8) and #4 fence merging (POpt/PPOpt).
+        let tail: &[Stage] = if matches!(version, Version::POpt | Version::PPOpt) {
+            &[Stage::Fences, Stage::Merge]
+        } else {
+            &[Stage::Fences]
+        };
+        let placement = self.region(tail, || self.fences(&mut m, tail, &addrs, &mut stats));
+
+        // #5 Optimization (everything but Lifted): the Figure 17 round
+        // loop, run by the opt crate's driver on this pipeline's pool. Its
+        // ipsccp substitution decisions are logged: each one is an
+        // interprocedural fact the target function's cache key digests.
+        let mut ip_facts: Vec<IpsccpFact> = Vec::new();
+        if version != Version::Lifted {
+            ip_facts = self.region(&[Stage::Opt], || {
+                let run = lasagne_opt::sched::optimize(
+                    &mut m,
+                    OPT_ROUNDS,
+                    &self.pool,
+                    self.jobs,
+                    &self.trace,
+                );
+                self.sink.record_opt(&m, &run);
+                run.facts
+            });
+        }
+        stats.insts_final = m.inst_count();
+
+        // Persist the cold result before code generation: everything the
+        // cache replays is exactly the work done up to this point.
+        if let Some(cache) = self.cache {
+            self.store_cold(cache, bin, &m, &stats, &placement, &ip_facts);
+        }
+
+        Ok(self.armgen(m, stats))
+    }
+
+    /// #1 Lifting (§4), region A and join 1: the whole-binary analysis
+    /// (CFGs, type discovery, shells) is the serial prologue; each
+    /// function is then lifted, censused and given its Figure 14
+    /// naive-fence baseline as one work item; `LiftPlan::finish` installs
+    /// the bodies and verifies the module. Returns the module, each
+    /// function's x86 entry address, and the lift-time statistics.
+    fn lift(&self, bin: &Binary) -> Result<(Module, Vec<u64>, TranslationStats), LiftError> {
         let plan = self.module_step(Stage::Lift, "prepare", || {
             (LiftPlan::prepare(bin, TranslateOptions::default()), 0)
         })?;
-        // x86 entry addresses, captured while the plan still exists: work
-        // index i is FuncId(i), so this is parallel to `m.funcs` below.
-        let addrs: Vec<u64> = (0..plan.num_functions())
-            .map(|i| plan.function_addr(i))
-            .collect();
-        // The module shell refine round 0 runs against *before* finish:
-        // globals + externs with an empty function table — exactly the
-        // view the later per-function sections give passes after finish
-        // (the function table is taken out for ownership), so fusing
-        // changes nothing.
-        let shell_a = plan.shell_module();
-        let a_stages: &[Stage] = if version == Version::PPOpt {
-            &[Stage::Lift, Stage::Fences, Stage::Refine]
-        } else {
-            &[Stage::Lift, Stage::Fences]
-        };
-        struct LiftOut {
-            body: Result<Function, LiftError>,
-            lift_nanos: u128,
-            /// Live instruction count straight out of the lifter.
-            lifted_insts: u64,
-            casts: u64,
-            naive: u64,
-            naive_nanos: u128,
-            /// `(nanos, changes, insts_after)` of refine round 0 (PPOpt).
-            refine: Option<(u128, u64, u64)>,
-        }
-        let lifted = self.fused_section(a_stages, (0..plan.num_functions()).collect(), |i, _| {
-            let mut sp = self.trace.span("lift", plan.function_name(i));
-            let t0 = Instant::now();
-            let body = plan.lift_function_traced(i, &self.trace);
-            if let Ok(b) = &body {
-                sp.arg("insts", b.live_inst_count());
-            }
-            let lift_nanos = t0.elapsed().as_nanos();
-            drop(sp);
-            let mut f = match body {
-                Ok(f) => f,
-                Err(e) => {
-                    return LiftOut {
-                        body: Err(e),
-                        lift_nanos,
-                        lifted_insts: 0,
-                        casts: 0,
-                        naive: 0,
-                        naive_nanos: 0,
-                        refine: None,
-                    }
-                }
-            };
-            let lifted_insts = f.live_inst_count() as u64;
-            let casts = count_casts_fn(&f);
+        let n = plan.num_functions();
+        // Work index i is FuncId(i), so this is parallel to `m.funcs`.
+        let addrs = (0..n).map(|i| plan.function_addr(i)).collect();
+        let lifted = self.section(&[Stage::Lift, Stage::Fences], (0..n).collect(), |i, _| {
+            let f = self.unit(Stage::Lift, i, plan.function_name(i), "insts", || {
+                let body = plan.lift_function_traced(i, &self.trace);
+                let insts = body.as_ref().map_or(0, |f| f.live_inst_count() as u64);
+                (body, insts, insts)
+            })?;
             // Figure 14 baseline: fences the unrefined, unmerged lifted
-            // code would receive, measured on a scratch clone. The plain
-            // (untraced) `place_fences` keeps the baseline out of the
-            // provenance counters — those describe the real placement.
-            let tn = Instant::now();
-            let mut scratch = f.clone();
-            let naive =
-                lasagne_fences::place_fences(&mut scratch, Strategy::StackAware).total() as u64;
-            let naive_nanos = tn.elapsed().as_nanos();
-            let refine = (version == Version::PPOpt).then(|| {
-                let mut sp = self.trace.span("refine", &f.name);
-                let t0 = Instant::now();
-                let c =
-                    lasagne_refine::refine_function_traced(&shell_a, &mut f, &self.trace) as u64;
-                sp.arg("changes", c);
-                (t0.elapsed().as_nanos(), c, f.live_inst_count() as u64)
+            // code would receive, measured on a scratch clone. It is
+            // module-level work, so it stays out of the per-function fence
+            // entries, and the plain (untraced) `place_fences` keeps it out
+            // of the provenance counters — those describe the real
+            // placement.
+            let t0 = Instant::now();
+            let naive = lasagne_fences::place_fences(&mut f.clone(), Strategy::StackAware).total();
+            self.sink.record(PassEvent {
+                stage: Stage::Fences,
+                func: None,
+                nanos: t0.elapsed().as_nanos(),
+                changes: naive as u64,
+                insts: 0,
             });
-            LiftOut {
-                body: Ok(f),
-                lift_nanos,
-                lifted_insts,
-                casts,
-                naive,
-                naive_nanos,
-                refine,
-            }
+            Ok((count_casts_fn(&f), naive, f))
         });
 
-        // Join 1: propagate lift errors in index order, install the bodies
-        // (`finish` verifies the module), fold the per-function counts.
-        let mut bodies = Vec::with_capacity(plan.num_functions());
-        let mut refine_changed = 0u64;
-        let (mut casts_lifted, mut insts_lifted) = (0u64, 0u64);
-        let (mut naive_total, mut naive_nanos_total) = (0u64, 0u128);
-        let mut lift_nanos_total = 0u128;
-        let mut refine0_nanos_total = 0u128;
-        let mut refine_events: Vec<PassEvent> = Vec::new();
-        for (i, out) in lifted.into_iter().enumerate() {
-            let f = out.body?;
-            self.sink.record(PassEvent {
-                stage: Stage::Lift,
-                func: Some((i, plan.function_name(i).to_string())),
-                nanos: out.lift_nanos,
-                changes: out.lifted_insts,
-                insts: out.lifted_insts,
-            });
-            lift_nanos_total += out.lift_nanos;
-            casts_lifted += out.casts;
-            insts_lifted += out.lifted_insts;
-            naive_total += out.naive;
-            naive_nanos_total += out.naive_nanos;
-            if let Some((nanos, changes, insts)) = out.refine {
-                refine_changed += changes;
-                refine0_nanos_total += nanos;
-                refine_events.push(PassEvent {
-                    stage: Stage::Refine,
-                    func: Some((i, f.name.clone())),
-                    nanos,
-                    changes,
-                    insts,
-                });
-            }
+        // Join 1: propagate lift errors in index order, fold the counts,
+        // and install the bodies (`finish` verifies the module).
+        let mut stats = TranslationStats::default();
+        let mut bodies = Vec::with_capacity(n);
+        for out in lifted {
+            let (casts, naive, f) = out?;
+            stats.casts_lifted += casts;
+            stats.insts_lifted += f.live_inst_count();
+            stats.fences_naive += naive;
             bodies.push(f);
         }
-        let mut m = self.module_step(Stage::Lift, "finish", || (plan.finish(bodies), 0))?;
-        for ev in refine_events {
-            self.sink.record(ev);
-        }
+        self.trace.add("fences.naive", stats.fences_naive as u64);
+        let m = self.module_step(Stage::Lift, "finish", || (plan.finish(bodies), 0))?;
+        Ok((m, addrs, stats))
+    }
 
-        let mut stats = TranslationStats {
-            casts_lifted: casts_lifted as usize,
-            insts_lifted: insts_lifted as usize,
-            fences_naive: naive_total as usize,
-            ..TranslationStats::default()
-        };
-        // The baseline was module-level serial work under the old
-        // schedule; keep it a module-level event (its nanos are the sum
-        // of the per-function measurements inside the fused items).
-        self.sink.record(PassEvent {
-            stage: Stage::Fences,
-            func: None,
-            nanos: naive_nanos_total,
-            changes: naive_total,
-            insts: 0,
-        });
-        self.trace.add("fences.naive", naive_total);
-
-        // #2 IR refinement (§5, PPOpt only): round 0 already ran inside
-        // region A; each further round is a serial parameter-promotion
-        // join followed by a fused [sweep → refine] section, matching
-        // `lasagne_refine::refine_module`'s R→P→S iteration exactly —
-        // the loop's final sweep is fused into the tail section below.
-        let mut promoted = 0u64;
-        if version == Version::PPOpt {
-            promoted = self.module_step(Stage::Refine, "promote-params", || {
-                let p = lasagne_refine::promote_pointer_params_traced(&mut m, &self.trace) as u64;
-                (p, p)
-            });
-        }
-        let a_nanos = wall_a.elapsed().as_nanos();
-        let mut a_parts: Vec<(Stage, u128)> = vec![
-            (Stage::Lift, lift_nanos_total),
-            (Stage::Fences, naive_nanos_total),
-        ];
-        if version == Version::PPOpt {
-            a_parts.push((Stage::Refine, refine0_nanos_total));
-        }
-        self.sink.record_region_wall(&a_parts, a_nanos);
-        self.sink.record_fused_wall(a_nanos);
-
-        if version == Version::PPOpt {
-            // `r` counts completed refine→promote pairs; the pending
-            // sweep for round r runs in the next section (or the tail).
-            let mut r = 0u32;
-            loop {
-                if (refine_changed == 0 && promoted == 0) || r == 2 {
-                    break;
-                }
-                let wall = Instant::now();
-                let funcs = std::mem::take(&mut m.funcs);
-                let shell: &Module = &m;
-                let results = self.fused_section(&[Stage::Refine], funcs, |_, mut f| {
-                    let mut sp = self.trace.span("refine", &f.name);
-                    let ts = Instant::now();
-                    let swept = lasagne_refine::sweep_dead(&mut f) as u64;
-                    let sweep_nanos = ts.elapsed().as_nanos();
-                    sp.arg("changes", swept);
-                    drop(sp);
-                    let mut sp = self.trace.span("refine", &f.name);
-                    let tr = Instant::now();
-                    let c =
-                        lasagne_refine::refine_function_traced(shell, &mut f, &self.trace) as u64;
-                    sp.arg("changes", c);
-                    let refine_nanos = tr.elapsed().as_nanos();
-                    (f, swept, sweep_nanos, c, refine_nanos)
-                });
-                refine_changed = 0;
-                m.funcs = results
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, (f, swept, sweep_nanos, changes, refine_nanos))| {
-                        let insts = f.live_inst_count() as u64;
-                        self.sink.record(PassEvent {
-                            stage: Stage::Refine,
-                            func: Some((i, f.name.clone())),
-                            nanos: sweep_nanos,
-                            changes: swept,
-                            insts,
-                        });
-                        self.sink.record(PassEvent {
-                            stage: Stage::Refine,
-                            func: Some((i, f.name.clone())),
-                            nanos: refine_nanos,
-                            changes,
-                            insts,
-                        });
-                        refine_changed += changes;
-                        f
-                    })
-                    .collect();
-                r += 1;
-                promoted = self.module_step(Stage::Refine, "promote-params", || {
-                    let p =
-                        lasagne_refine::promote_pointer_params_traced(&mut m, &self.trace) as u64;
-                    (p, p)
-                });
-                let nanos = wall.elapsed().as_nanos();
-                self.sink.record_stage_wall(Stage::Refine, nanos);
-                self.sink.record_fused_wall(nanos);
-            }
-        }
-
-        // ---- Fused tail: per function, the refinement loop's final
-        // sweep (#2), precise fence placement (#3, §8), fence merging
-        // (#4, POpt/PPOpt), and the post-merge fence census — one
-        // fan-out, one barrier.
-        let wall_tail = Instant::now();
+    /// The tail region and join 2: per function, precise fence placement
+    /// (§8), fence merging (§7.2, when `stages` has [`Stage::Merge`]) and
+    /// the post-merge fence census as one work item; then the fence
+    /// totals and, when explaining, the provenance records. Returns each
+    /// function's placement statistics.
+    fn fences(
+        &self,
+        m: &mut Module,
+        stages: &[Stage],
+        addrs: &[u64],
+        stats: &mut TranslationStats,
+    ) -> Vec<PlacementStats> {
         let explain = self.explain;
-        let mut tail_stages: Vec<Stage> = Vec::new();
-        if version == Version::PPOpt {
-            tail_stages.push(Stage::Refine);
-        }
-        tail_stages.push(Stage::Fences);
-        if matches!(version, Version::POpt | Version::PPOpt) {
-            tail_stages.push(Stage::Merge);
-        }
-        struct TailOut {
-            f: Function,
-            /// `(nanos, changes, insts_after)` of the final sweep (PPOpt).
-            sweep: Option<(u128, u64, u64)>,
-            casts: u64,
-            place_nanos: u128,
-            place_insts: u64,
-            ps: PlacementStats,
-            decisions: Option<Vec<FenceDecision>>,
-            /// `(nanos, removed, insts_after)` of the merge (POpt/PPOpt).
-            merge: Option<(u128, u64, u64)>,
-            merges: Option<Vec<FenceMerge>>,
-            /// Post-merge `(Frm, Fww, Fsc)` counts.
-            fences: (usize, usize, usize),
-        }
+        let merge = stages.contains(&Stage::Merge);
         let funcs = std::mem::take(&mut m.funcs);
-        let results = self.fused_section(&tail_stages, funcs, |_, mut f| {
-            let sweep = (version == Version::PPOpt).then(|| {
-                let mut sp = self.trace.span("refine", &f.name);
-                let t0 = Instant::now();
-                let c = lasagne_refine::sweep_dead(&mut f) as u64;
-                sp.arg("changes", c);
-                (t0.elapsed().as_nanos(), c, f.live_inst_count() as u64)
-            });
+        let results = self.section(stages, funcs, |i, mut f| {
+            let name = f.name.clone();
             let casts = count_casts_fn(&f);
-            let mut sp = self.trace.span("fences", &f.name);
-            let t0 = Instant::now();
-            let mut dec: Option<Vec<FenceDecision>> = explain.then(Vec::new);
-            let ps = lasagne_fences::place_fences_explain(
-                &mut f,
-                Strategy::StackAware,
-                &self.trace,
-                dec.as_mut(),
-            );
-            sp.arg("changes", ps.total() as u64);
-            let place_nanos = t0.elapsed().as_nanos();
-            drop(sp);
-            let place_insts = f.live_inst_count() as u64;
-            let (merge, merges) = if matches!(version, Version::POpt | Version::PPOpt) {
-                let mut sp = self.trace.span("merge", &f.name);
-                let t0 = Instant::now();
-                let mut mg: Option<Vec<FenceMerge>> = explain.then(Vec::new);
-                let n = lasagne_fences::merge_fences_explain(&mut f, &self.trace, mg.as_mut());
-                sp.arg("changes", n as u64);
-                (
-                    Some((
-                        t0.elapsed().as_nanos(),
-                        n as u64,
-                        f.live_inst_count() as u64,
-                    )),
-                    mg,
-                )
-            } else {
-                (None, None)
-            };
-            let fences = lasagne_fences::count_fences_fn(&f);
-            TailOut {
-                f,
-                sweep,
-                casts,
-                place_nanos,
-                place_insts,
-                ps,
-                decisions: dec,
-                merge,
-                merges,
-                fences,
+            let mut decisions = Vec::new();
+            let ps = self.unit(Stage::Fences, i, &name, "changes", || {
+                let ps = lasagne_fences::place_fences_explain(
+                    &mut f,
+                    Strategy::StackAware,
+                    &self.trace,
+                    explain.then_some(&mut decisions),
+                );
+                (ps, ps.total() as u64, f.live_inst_count() as u64)
+            });
+            let mut merges = Vec::new();
+            if merge {
+                self.unit(Stage::Merge, i, &name, "changes", || {
+                    let n = lasagne_fences::merge_fences_explain(
+                        &mut f,
+                        &self.trace,
+                        explain.then_some(&mut merges),
+                    );
+                    ((), n as u64, f.live_inst_count() as u64)
+                });
             }
+            let (frm, fww, fsc) = lasagne_fences::count_fences_fn(&f);
+            (f, casts, ps, decisions, merges, frm + fww + fsc)
         });
 
-        // Join 2: reassemble the module, fold fence totals, record the
-        // per-segment events, and assemble provenance.
-        let nfuncs = results.len();
-        let mut casts_final = 0u64;
-        let mut fences_placed = 0u64;
-        let (mut frm, mut fww, mut fsc) = (0usize, 0usize, 0usize);
-        let mut sweep_nanos_total = 0u128;
-        let mut place_nanos_total = 0u128;
-        let mut merge_nanos_total = 0u128;
-        let mut placement = vec![PlacementStats::default(); nfuncs];
-        let mut decision_by_func = vec![Vec::new(); nfuncs];
-        let mut merge_by_func = vec![Vec::new(); nfuncs];
-        m.funcs = results
-            .into_iter()
-            .enumerate()
-            .map(|(i, out)| {
-                let name = &out.f.name;
-                if let Some((nanos, changes, insts)) = out.sweep {
-                    sweep_nanos_total += nanos;
-                    self.sink.record(PassEvent {
-                        stage: Stage::Refine,
-                        func: Some((i, name.clone())),
-                        nanos,
-                        changes,
-                        insts,
-                    });
-                }
-                casts_final += out.casts;
-                place_nanos_total += out.place_nanos;
-                self.sink.record(PassEvent {
-                    stage: Stage::Fences,
-                    func: Some((i, name.clone())),
-                    nanos: out.place_nanos,
-                    changes: out.ps.total() as u64,
-                    insts: out.place_insts,
-                });
-                fences_placed += out.ps.total() as u64;
-                placement[i] = out.ps;
-                if let Some((nanos, changes, insts)) = out.merge {
-                    merge_nanos_total += nanos;
-                    self.sink.record(PassEvent {
-                        stage: Stage::Merge,
-                        func: Some((i, name.clone())),
-                        nanos,
-                        changes,
-                        insts,
-                    });
-                }
-                decision_by_func[i] = out.decisions.unwrap_or_default();
-                merge_by_func[i] = out.merges.unwrap_or_default();
-                frm += out.fences.0;
-                fww += out.fences.1;
-                fsc += out.fences.2;
-                out.f
-            })
-            .collect();
-        stats.casts_final = casts_final as usize;
-        stats.fences_placed = fences_placed as usize;
-        stats.fences_final = frm + fww + fsc;
-
-        // Per-function provenance: a merge that removed a fence
-        // re-attributes the matching placement decision from Placed to
-        // Merged. `InstId`s are arena-stable, so matching the inserted
-        // fence id is exact.
-        if explain {
-            let mut records = Vec::with_capacity(m.funcs.len());
-            for (i, f) in m.funcs.iter().enumerate() {
-                let mut decisions = std::mem::take(&mut decision_by_func[i]);
-                let merges = std::mem::take(&mut merge_by_func[i]);
+        let mut placement = Vec::with_capacity(results.len());
+        let mut records = Vec::new();
+        for (i, (f, casts, ps, mut decisions, merges, fences)) in results.into_iter().enumerate() {
+            stats.casts_final += casts;
+            stats.fences_placed += ps.total();
+            stats.fences_final += fences;
+            placement.push(ps);
+            if explain {
+                // A merge that removed a fence re-attributes the matching
+                // placement decision from Placed to Merged. `InstId`s are
+                // arena-stable, so matching the inserted fence id is exact.
                 for mg in &merges {
                     if let Some(d) = decisions.iter_mut().find(|d| d.fence == Some(mg.removed)) {
                         d.fate = FenceFate::Merged;
@@ -1809,48 +1662,12 @@ impl<'s> PassManager<'s> {
                     merges,
                 });
             }
+            m.funcs.push(f);
+        }
+        if explain {
             *lock_clean(&self.provenance) = records;
         }
-        let tail_nanos = wall_tail.elapsed().as_nanos();
-        let tail_parts: Vec<(Stage, u128)> = [
-            (Stage::Refine, sweep_nanos_total),
-            (Stage::Fences, place_nanos_total),
-            (Stage::Merge, merge_nanos_total),
-        ]
-        .into_iter()
-        .filter(|(s, _)| tail_stages.contains(s))
-        .collect();
-        self.sink.record_region_wall(&tail_parts, tail_nanos);
-        self.sink.record_fused_wall(tail_nanos);
-
-        // #5 Optimization (everything but Lifted): the Figure 17 round
-        // loop, run by the opt crate's driver on this pipeline's pool. Its
-        // ipsccp substitution decisions are logged: each one is an
-        // interprocedural fact the target function's cache key digests.
-        let mut ip_facts: Vec<IpsccpFact> = Vec::new();
-        if version != Version::Lifted {
-            let wall = Instant::now();
-            let run = lasagne_opt::sched::optimize(
-                &mut m,
-                OPT_ROUNDS,
-                &self.pool,
-                self.jobs,
-                &self.trace,
-            );
-            self.sink.record_opt(&m, &run);
-            self.sink
-                .record_stage_wall(Stage::Opt, wall.elapsed().as_nanos());
-            ip_facts = run.facts;
-        }
-        stats.insts_final = m.inst_count();
-
-        // Persist the cold result before code generation: everything the
-        // cache replays is exactly the work done up to this point.
-        if let Some(cache) = self.cache {
-            self.store_cold(cache, bin, &m, &stats, &placement, &ip_facts);
-        }
-
-        Ok(self.armgen(m, stats))
+        placement
     }
 
     /// Writes the post-`opt` module into `cache`, keyed per function on
@@ -1914,38 +1731,19 @@ impl<'s> PassManager<'s> {
     /// and the warm (cache-served) path, which is why warm output is
     /// byte-identical to cold output.
     fn armgen(&self, m: Module, stats: TranslationStats) -> Translation {
-        debug_assert!(lasagne_lir::verify::verify_module(&m).is_ok());
-
-        let wall = Instant::now();
-        let (lowered, waits) =
-            self.pool
-                .par_map_waits(self.jobs, (0..m.funcs.len()).collect(), |_, i| {
-                    let mut sp = self.trace.span("armgen", &m.funcs[i].name);
-                    let t0 = Instant::now();
-                    let mut af = lasagne_armgen::lower_function(&m, &m.funcs[i]);
+        debug_assert!(verify_module(&m).is_ok());
+        let arm = self.region(&[Stage::ArmGen], || {
+            let afuncs = self.section(&[Stage::ArmGen], (0..m.funcs.len()).collect(), |i, _| {
+                let f = &m.funcs[i];
+                self.unit(Stage::ArmGen, i, &f.name, "removed", || {
+                    let mut af = lasagne_armgen::lower_function(&m, f);
                     let ph = lasagne_armgen::peephole_function_traced(&mut af, &self.trace);
-                    sp.arg("removed", ph.removed() as u64);
-                    (af, ph, t0.elapsed().as_nanos())
-                });
-        // A section only counts when a barrier actually formed.
-        if !waits.is_empty() {
-            self.sink.record_parallel_section(Stage::ArmGen, &waits);
-        }
-        let mut afuncs = Vec::with_capacity(lowered.len());
-        for (i, (af, ph, nanos)) in lowered.into_iter().enumerate() {
-            self.sink.record(PassEvent {
-                stage: Stage::ArmGen,
-                func: Some((i, af.name.clone())),
-                nanos,
-                changes: ph.removed() as u64,
-                insts: af.blocks.iter().map(|b| b.insts.len() as u64).sum(),
+                    let insts = af.blocks.iter().map(|b| b.insts.len() as u64).sum();
+                    (af, ph.removed() as u64, insts)
+                })
             });
-            afuncs.push(af);
-        }
-        let arm = lasagne_armgen::assemble_module(&m, afuncs);
-        self.sink
-            .record_stage_wall(Stage::ArmGen, wall.elapsed().as_nanos());
-
+            lasagne_armgen::assemble_module(&m, afuncs)
+        });
         Translation {
             module: m,
             arm,

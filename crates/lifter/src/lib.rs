@@ -334,21 +334,6 @@ impl LiftPlan {
         self.work[i].0
     }
 
-    /// The module as every per-function pass will see it: globals and
-    /// externs with an **empty** function table.
-    ///
-    /// [`LiftPlan::finish`] only installs function bodies, so this is
-    /// byte-identical to the post-`finish` module with `funcs` taken out
-    /// — the exact read-only shell the pipeline's per-function driver
-    /// hands to passes. A fused schedule can therefore run shell-only
-    /// passes (e.g. refinement round 0) *before* the finish join without
-    /// changing what any pass observes.
-    pub fn shell_module(&self) -> Module {
-        let mut shell = self.module.clone();
-        shell.funcs = Vec::new();
-        shell
-    }
-
     /// Pre-lift profile of work item `i`: machine-code shape plus the
     /// discovered signature, for observability (the lifter's per-function
     /// instruction/type-discovery counts).
@@ -864,6 +849,39 @@ mod tests {
             err,
             LiftError::Translate(translate::TranslateError::UnknownCallTarget { .. })
         ));
+    }
+
+    #[test]
+    fn jcc_into_the_middle_of_an_instruction_is_error() {
+        // The jcc target is inside the 10-byte movabs: a branch leader
+        // with no decoded instruction, hence no block, behind it.
+        let mut b = BinaryBuilder::new();
+        let addr = b.next_function_addr();
+        let mut a = Asm::new();
+        a.push(Inst::MovAbs {
+            dst: Gpr::Rax,
+            imm: 7,
+        });
+        a.push(Inst::AluRRm {
+            op: AluOp::Cmp,
+            w: Width::W64,
+            dst: Gpr::Rdi,
+            src: Rm::Reg(Gpr::Rax),
+        });
+        a.push(Inst::Jcc {
+            cc: Cond::E,
+            target: Target::Abs(addr + 2),
+        });
+        a.push(Inst::Ret);
+        b.add_function("bad", a.finish(addr).unwrap());
+        let err = lift_binary(&b.finish()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                LiftError::Translate(translate::TranslateError::Unsupported(_))
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1021,7 +1021,7 @@ pub fn translate_function(
             tr.f.set_term(
                 cur,
                 Terminator::Br {
-                    dest: block_map[&next],
+                    dest: block_at(&block_map, next)?,
                 },
             );
         }
@@ -1030,6 +1030,15 @@ pub fn translate_function(
     Ok(Translated {
         func: tr.f,
         gpr_slots: tr.gpr_slot_ids,
+    })
+}
+
+/// The block starting at branch target `addr`. A decoded target that
+/// lands inside an instruction is a leader with no block behind it, which
+/// only malformed machine code produces.
+fn block_at(block_map: &BTreeMap<u64, BlockId>, addr: u64) -> Result<BlockId, TranslateError> {
+    block_map.get(&addr).copied().ok_or_else(|| {
+        TranslateError::Unsupported(format!("branch to {addr:#x}, which is not a block start"))
     })
 }
 
@@ -1068,8 +1077,8 @@ impl Tr<'_> {
                 })?;
                 Terminator::CondBr {
                     cond,
-                    if_true: block_map[t],
-                    if_false: block_map[&next],
+                    if_true: block_at(block_map, *t)?,
+                    if_false: block_at(block_map, next)?,
                 }
             }
             Inst::Ret => {

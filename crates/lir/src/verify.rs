@@ -78,8 +78,17 @@ fn verify_function(m: &Module, f: &Function, errs: &mut Vec<VerifyError>) {
             if !is_phi {
                 in_phi_prefix = false;
             }
-            check_inst(m, f, b, i, *id, errs);
+            check_inst(m, f, b, i, *id, &seen, errs);
         }
+        // Terminator operands must be in the layout too.
+        blk.term.for_each_operand(|op| {
+            if let Operand::Inst(i) = op {
+                if !seen.get(i.0 as usize).copied().unwrap_or(false) {
+                    let msg = format!("{b} terminator uses %{}, which is not in the layout", i.0);
+                    err_in(errs, f, msg);
+                }
+            }
+        });
         // Terminator targets must exist.
         for s in blk.term.successors() {
             if s.0 as usize >= f.blocks.len() {
@@ -115,6 +124,7 @@ fn check_inst(
     b: BlockId,
     _pos: usize,
     id: crate::inst::InstId,
+    placed: &[bool],
     errs: &mut Vec<VerifyError>,
 ) {
     let inst = f.inst(id);
@@ -126,11 +136,14 @@ fn check_inst(
     };
     let ty = |op: &Operand| m.operand_ty(f, op);
 
-    // Operand references must be in range.
+    // Operand references must be in range, and an instruction operand
+    // must itself be in the layout (a removed instruction is dead).
     inst.kind.for_each_operand(|op| match op {
         Operand::Inst(i) => {
             if i.0 as usize >= f.insts.len() {
                 err(format!("references out-of-range instruction %{}", i.0));
+            } else if !placed[i.0 as usize] {
+                err(format!("uses %{}, which is not in the layout", i.0));
             }
         }
         Operand::Param(p) => {
@@ -385,6 +398,46 @@ mod tests {
         assert!(errs
             .iter()
             .any(|e| e.message.contains("operand types differ")));
+    }
+
+    #[test]
+    fn rejects_use_of_an_instruction_removed_from_the_layout() {
+        let mut m = Module::new();
+        let mut f = Function::new("bad", vec![Ty::I64], Ty::I64);
+        let e = f.entry();
+        let a = f.push(
+            e,
+            Ty::I64,
+            InstKind::Bin {
+                op: BinOp::Add,
+                lhs: Operand::Param(0),
+                rhs: Operand::i64(1),
+            },
+        );
+        f.push(
+            e,
+            Ty::I64,
+            InstKind::Bin {
+                op: BinOp::Add,
+                lhs: Operand::Inst(a),
+                rhs: Operand::i64(1),
+            },
+        );
+        f.set_term(
+            e,
+            Terminator::Ret {
+                val: Some(Operand::Inst(a)),
+            },
+        );
+        f.block_mut(e).insts.retain(|i| *i != a);
+        m.add_func(f);
+        let errs = verify_module(&m).unwrap_err();
+        let layout = format!("uses %{}, which is not in the layout", a.0);
+        assert!(errs.iter().any(|e| e.message.contains(&layout)), "{errs:?}");
+        assert!(
+            errs.iter().any(|e| e.message.contains("terminator uses")),
+            "{errs:?}"
+        );
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //!    `i64` parameter whose every use is an `inttoptr` becomes a typed
 //!    pointer parameter (§5.2), updating all call sites.
 //!
+//! [`refine`] is the only driver of the loop over both stages (with a
+//! [`sweep_dead`] after each), on a worker pool; [`refine_module`] is it
+//! at one job.
+//!
 //! Both stages matter for fence placement: once an address chain bottoms
 //! out at an `alloca` through only `bitcast`/`getelementptr`, the §8
 //! stack-access analysis can prove the access private and skip its fences.
@@ -24,7 +28,9 @@ use lasagne_lir::func::{Function, Module};
 use lasagne_lir::inst::{Callee, CastOp, InstId, InstKind, Operand};
 use lasagne_lir::types::{Pointee, Ty};
 use lasagne_lir::BlockId;
+use lasagne_pool::Pool;
 use lasagne_trace::{ArgVal, TraceCtx};
+use std::time::Instant;
 
 /// Which generalised Figure 5 peephole rule rewrote an `inttoptr`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -479,71 +485,166 @@ pub fn sweep_dead(f: &mut Function) -> usize {
     let mut removed = 0;
     loop {
         let uses = f.use_counts();
-        let mut dead: Vec<InstId> = Vec::new();
+        let mut dead = vec![false; uses.len()];
+        let mut n = 0;
         for (_, id) in f.iter_insts() {
             let inst = f.inst(id);
             if uses[id.0 as usize] == 0 && !inst.kind.has_side_effects() && addr_arith(&inst.kind) {
-                dead.push(id);
+                dead[id.0 as usize] = true;
+                n += 1;
             }
         }
-        if dead.is_empty() {
+        if n == 0 {
             break;
         }
-        removed += dead.len();
+        removed += n;
         for b in f.block_ids() {
-            f.block_mut(b).insts.retain(|i| !dead.contains(i));
+            f.block_mut(b).insts.retain(|i| !dead[i.0 as usize]);
         }
     }
     removed
 }
 
-/// One per-function refinement step: pointer exposure ([`expose_pointers`])
-/// followed by a dead-arithmetic sweep ([`sweep_dead`]). Returns the number
-/// of `inttoptr` instructions rewritten.
+/// Rounds of the refine → promote → sweep loop [`refine`] runs at most.
+/// Named in the pipeline's pass list, so the cache key and the executed
+/// loop cannot drift apart.
+pub const REFINE_ROUNDS: usize = 3;
+
+/// Refinement work done on one function, summed over every round.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FuncRefine {
+    /// Wall time spent on the function.
+    pub nanos: u128,
+    /// `inttoptr` instructions rewritten plus dead address arithmetic
+    /// swept after each parameter promotion.
+    pub changes: u64,
+    /// Live instruction count after the final sweep.
+    pub insts: u64,
+}
+
+/// One serial parameter-promotion join.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PromoteRun {
+    /// Wall time of the join.
+    pub nanos: u128,
+    /// Parameters promoted.
+    pub promoted: usize,
+}
+
+/// Everything one [`refine`] run reports.
+#[derive(Debug, Clone, Default)]
+pub struct RefineRun {
+    /// Module-wide totals (what [`refine_module`] returns).
+    pub stats: RefineStats,
+    /// Per function index.
+    pub funcs: Vec<FuncRefine>,
+    /// One entry per promotion join, in round order.
+    pub promotes: Vec<PromoteRun>,
+    /// Per-slot barrier waits of each parallel section that formed (one
+    /// entry per section; none when every section ran serially).
+    pub sections: Vec<Vec<u128>>,
+}
+
+/// The §5 refinement driver: up to [`REFINE_ROUNDS`] rounds of pointer
+/// exposure, parameter promotion and a dead-arithmetic sweep, stopping
+/// after a round that neither rewrote nor promoted anything (promotion
+/// exposes new `ptrtoint` roots in callers, which the next round's
+/// exposure picks up).
 ///
-/// This is the intraprocedural half of [`refine_module`], split out for the
-/// pipeline driver: it mutates only `f` and reads `m` solely for operand
-/// typing (never other function bodies), so distinct functions may be
-/// refined concurrently with results identical to any serial order.
-pub fn refine_function(m: &Module, f: &mut Function) -> usize {
-    refine_function_traced(m, f, &TraceCtx::disabled())
-}
-
-/// [`refine_function`] with rule-firing tracing (see
-/// [`expose_pointers_traced`]); also counts swept dead address arithmetic
-/// into `refine.swept`.
-pub fn refine_function_traced(m: &Module, f: &mut Function, ctx: &TraceCtx) -> usize {
-    let n = expose_pointers_traced(m, f, ctx);
-    let swept = sweep_dead(f);
-    ctx.add("refine.swept", swept as u64);
-    n
-}
-
-/// Runs the full refinement pipeline over a module: alternating pointer
-/// exposure, dead-arithmetic sweeping, and parameter promotion until a
-/// fixpoint (promotion exposes new `ptrtoint` roots in callers, so up to
-/// three rounds run).
-pub fn refine_module(m: &mut Module) -> RefineStats {
-    let mut stats = RefineStats::default();
-    for _ in 0..3 {
-        let mut changed = 0;
-        for fi in 0..m.funcs.len() {
-            let mut f = std::mem::replace(&mut m.funcs[fi], Function::new("", vec![], Ty::Void));
-            let n = refine_function(m, &mut f);
-            m.funcs[fi] = f;
-            changed += n;
-            stats.inttoptr_rewritten += n;
-        }
-        let p = promote_pointer_params(m);
-        for f in &mut m.funcs {
-            sweep_dead(f);
-        }
-        stats.params_promoted += p;
-        if changed == 0 && p == 0 {
+/// Exposure and sweeping read only their own function and the module's
+/// shell (operand typing), so each function's share of a round runs as
+/// one work item on `pool` with up to `jobs` workers: the sweep owed by
+/// the previous promotion, then [`expose_pointers`] and a sweep of what
+/// it orphaned. Promotion rewrites call sites across the module and runs
+/// serially between the sections; a last section pays the last
+/// promotion's sweep. Results are merged by function index, so the
+/// module and every count are the same for any `jobs` value.
+///
+/// Traced runs get a `refine` span per function work item and per
+/// promotion join, the `refine.rule.*`, `refine.swept` and
+/// `refine.params.promoted` counters, and the rule and promotion
+/// instants.
+pub fn refine(m: &mut Module, pool: &Pool, jobs: usize, trace: &TraceCtx) -> RefineRun {
+    let driver = Driver { pool, jobs, trace };
+    let mut run = RefineRun {
+        funcs: vec![FuncRefine::default(); m.funcs.len()],
+        ..RefineRun::default()
+    };
+    // Exposure ends in a sweep to fixpoint, and a promotion that promoted
+    // nothing mutated nothing, so only a promotion that rewrote the
+    // module leaves anything to sweep.
+    let mut owed_sweep = false;
+    for _ in 0..REFINE_ROUNDS {
+        let rewritten = driver.section(&mut run, m, owed_sweep, true);
+        let mut sp = trace.span("refine", "promote-params");
+        let t0 = Instant::now();
+        let promoted = promote_pointer_params_traced(m, trace);
+        sp.arg("changes", promoted as u64);
+        run.promotes.push(PromoteRun {
+            nanos: t0.elapsed().as_nanos(),
+            promoted,
+        });
+        run.stats.inttoptr_rewritten += rewritten;
+        run.stats.params_promoted += promoted;
+        owed_sweep = promoted > 0;
+        if rewritten == 0 && promoted == 0 {
             break;
         }
     }
-    stats
+    if owed_sweep {
+        driver.section(&mut run, m, true, false);
+    }
+    run
+}
+
+struct Driver<'a> {
+    pool: &'a Pool,
+    jobs: usize,
+    trace: &'a TraceCtx,
+}
+
+impl Driver<'_> {
+    /// One fan-out over the module's functions: per function, a sweep
+    /// (when `sweep`) then pointer exposure and its sweep (when `expose`).
+    /// The functions are taken out of `m` for the section, so the work
+    /// items see only the module's shell. Returns the `inttoptr` rewrites.
+    fn section(&self, run: &mut RefineRun, m: &mut Module, sweep: bool, expose: bool) -> usize {
+        let funcs = std::mem::take(&mut m.funcs);
+        let shell: &Module = m;
+        let trace = self.trace;
+        let (results, waits) = self.pool.par_map_waits(self.jobs, funcs, |_, mut f| {
+            let mut sp = trace.span("refine", &f.name);
+            let t0 = Instant::now();
+            let mut changes = if sweep { sweep_dead(&mut f) } else { 0 };
+            let mut rewritten = 0;
+            if expose {
+                rewritten = expose_pointers_traced(shell, &mut f, trace);
+                trace.add("refine.swept", sweep_dead(&mut f) as u64);
+                changes += rewritten;
+            }
+            sp.arg("changes", changes as u64);
+            let insts = f.live_inst_count() as u64;
+            (f, rewritten, changes as u64, insts, t0.elapsed().as_nanos())
+        });
+        if !waits.is_empty() {
+            run.sections.push(waits);
+        }
+        let mut total = 0;
+        for (i, (f, rewritten, changes, insts, nanos)) in results.into_iter().enumerate() {
+            let fr = &mut run.funcs[i];
+            fr.nanos += nanos;
+            fr.changes += changes;
+            fr.insts = insts;
+            total += rewritten;
+            m.funcs.push(f);
+        }
+        total
+    }
+}
+
+/// [`refine`] at one job, untraced: the serial entry point.
+pub fn refine_module(m: &mut Module) -> RefineStats {
+    refine(m, Pool::shared(), 1, &TraceCtx::disabled()).stats
 }
 
 #[cfg(test)]

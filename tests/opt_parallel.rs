@@ -4,15 +4,19 @@
 //! serial module-wide reference (`lasagne_opt::blind_pipeline`), for
 //! every [`Version`] across the Phoenix suite and for any worker count.
 //! A warm translation cache populated before the restructure's schedule
-//! ran at a different jobs value must keep serving every function.
+//! ran at a different jobs value must keep serving every function. The
+//! PPOpt refinement driver is held to the same standard against its
+//! serial entry point, `lasagne_refine::refine_module`.
 
 use lasagne_repro::armgen::print::print_module;
 use lasagne_repro::fences::{merge_fences_module, place_fences_module, Strategy};
 use lasagne_repro::lifter::lift_binary;
 use lasagne_repro::lir::Module;
 use lasagne_repro::phoenix::all_benchmarks;
-use lasagne_repro::refine::refine_module;
-use lasagne_repro::translator::{Pipeline, Version};
+use lasagne_repro::refine::{refine, refine_module};
+use lasagne_repro::trace::TraceCtx;
+use lasagne_repro::translator::pipeline::pool::Pool;
+use lasagne_repro::translator::{Pipeline, PipelineReport, Stage, Version};
 
 /// The module as it stands when the opt stage begins, built by the plain
 /// serial crate entry points the pipeline driver mirrors.
@@ -213,4 +217,69 @@ fn warm_cache_serves_across_jobs_values_with_identical_output() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn refine_driver_matches_serial_entry_point_at_any_jobs() {
+    for b in all_benchmarks(48) {
+        let mut expected = lift_binary(&b.binary).unwrap();
+        let stats = refine_module(&mut expected);
+        assert!(stats.inttoptr_rewritten > 0, "{}: nothing refined", b.name);
+        for jobs in [1, 4] {
+            let mut m = lift_binary(&b.binary).unwrap();
+            let run = refine(&mut m, Pool::shared(), jobs, &TraceCtx::disabled());
+            assert_eq!(
+                expected, m,
+                "{} at jobs={jobs}: refine diverged from refine_module",
+                b.name
+            );
+            assert_eq!(
+                stats, run.stats,
+                "{} at jobs={jobs}: RefineStats diverged",
+                b.name
+            );
+        }
+    }
+}
+
+#[test]
+fn refine_stage_report_is_jobs_invariant_and_matches_the_driver() {
+    // Per function: (index, changes, insts) of the refine stage.
+    let key = |r: &PipelineReport| -> Vec<(usize, u64, u64)> {
+        r.stage(Stage::Refine)
+            .funcs
+            .iter()
+            .map(|f| (f.index, f.changes, f.insts))
+            .collect()
+    };
+    for b in all_benchmarks(48) {
+        let mut m = lift_binary(&b.binary).unwrap();
+        let run = refine(&mut m, Pool::shared(), 1, &TraceCtx::disabled());
+        let driver: Vec<(usize, u64, u64)> = run
+            .funcs
+            .iter()
+            .enumerate()
+            .map(|(i, f)| (i, f.changes, f.insts))
+            .collect();
+        for jobs in [1, 4] {
+            let (_, report) = Pipeline::new(Version::PPOpt)
+                .with_jobs(jobs)
+                .run(&b.binary)
+                .unwrap();
+            assert_eq!(
+                key(&report),
+                driver,
+                "{} at jobs={jobs}: refine-stage per-function changes/insts \
+                 differ from the driver's",
+                b.name
+            );
+            if jobs > 1 {
+                assert!(
+                    report.stage(Stage::Refine).parallel_sections > 0,
+                    "{} at jobs={jobs}: refine never fanned out",
+                    b.name
+                );
+            }
+        }
+    }
 }
