@@ -353,8 +353,9 @@ impl LiftPlan {
     }
 
     /// [`LiftPlan::lift_function`] recording the function's profile into
-    /// `ctx`: `lift.*` counters, a size histogram, and (when tracing is
-    /// enabled) a `lift-function` instant event. Produces the exact same
+    /// `ctx`: `lift.*` counters, a size histogram, `lift.translate` /
+    /// `lift.promote` / `lift.compact` sub-phase spans, and (when tracing
+    /// is enabled) a `lift-function` instant event. Produces the exact same
     /// body as [`lift_function`](LiftPlan::lift_function).
     ///
     /// # Errors
@@ -369,7 +370,7 @@ impl LiftPlan {
         i: usize,
         ctx: &lasagne_trace::TraceCtx,
     ) -> Result<Function, LiftError> {
-        let body = self.lift_function(i)?;
+        let body = self.lift_body(i, ctx)?;
         let p = self.function_profile(i);
         let lir_insts = body.iter_insts().count();
         ctx.add("lift.funcs", 1);
@@ -412,18 +413,39 @@ impl LiftPlan {
     ///
     /// Panics if `i` is out of range.
     pub fn lift_function(&self, i: usize) -> Result<Function, LiftError> {
+        self.lift_body(i, &lasagne_trace::TraceCtx::disabled())
+    }
+
+    /// Translate → promote → compact, one span per sub-phase, counting the
+    /// promoted slots (`lift.slots_promoted`) and the operands promotion
+    /// rewrote (`lir.uses.rewritten`); the promote span carries both.
+    fn lift_body(&self, i: usize, ctx: &lasagne_trace::TraceCtx) -> Result<Function, LiftError> {
         let (_, name, cfg) = &self.work[i];
-        let mut tr = translate::translate_function(
-            name,
-            cfg,
-            &self.tys[i],
-            &self.env,
-            self.sqrt_id,
-            self.opts,
-        )
-        .map_err(LiftError::Translate)?;
-        translate::promote_registers(&mut tr);
-        tr.func.compact();
+        let mut tr = {
+            let _span = ctx.span("lift", "lift.translate");
+            translate::translate_function(
+                name,
+                cfg,
+                &self.tys[i],
+                &self.env,
+                self.sqrt_id,
+                self.opts,
+            )
+            .map_err(LiftError::Translate)?
+        };
+        {
+            let mut span = ctx.span("lift", "lift.promote");
+            let mut uses = lasagne_lir::uses::Uses::new();
+            let slots = translate::promote_registers(&mut tr, &mut uses);
+            ctx.add("lift.slots_promoted", slots as u64);
+            ctx.add("lir.uses.rewritten", uses.rewritten());
+            span.arg("slots_promoted", slots)
+                .arg("uses_rewritten", uses.rewritten());
+        }
+        {
+            let _span = ctx.span("lift", "lift.compact");
+            tr.func.compact();
+        }
         Ok(tr.func)
     }
 

@@ -18,6 +18,7 @@ use lasagne_lir::inst::{
     Operand, Ordering, RmwOp, Terminator,
 };
 use lasagne_lir::types::{Pointee, Ty};
+use lasagne_lir::uses::Uses;
 use lasagne_lir::BlockId;
 use lasagne_x86::inst::{AluOp, FpPrec, Inst, MemRef, MulDivOp, Rm, ShiftOp, SseOp, Target, XmmRm};
 use lasagne_x86::reg::{Cond, Gpr, Width, Xmm};
@@ -106,9 +107,13 @@ pub struct Translated {
 /// equivalent of mctoll's SSA value tracking (mctoll models registers and
 /// EFLAGS as values, not memory). XMM slots are intentionally left in
 /// memory for the downstream `sroa`/`mem2reg` passes to find (Figure 17).
-pub fn promote_registers(t: &mut Translated) {
+///
+/// Uses are rewritten through `uses` (fresh, or current for the function),
+/// whose counters then report the work. Returns the number of promoted
+/// slots.
+pub fn promote_registers(t: &mut Translated, uses: &mut Uses) -> usize {
     let set: BTreeSet<InstId> = t.gpr_slots.iter().copied().collect();
-    lasagne_lir::ssa::promote_allocas(&mut t.func, |_, id| set.contains(&id));
+    lasagne_lir::ssa::promote_allocas_with(&mut t.func, |_, id| set.contains(&id), uses)
 }
 
 struct Tr<'a> {

@@ -125,8 +125,10 @@ impl Function {
     }
 
     /// Replaces every use of `from` (an instruction result) with operand
-    /// `to`, in all instructions and terminators.
-    pub fn replace_all_uses(&mut self, from: InstId, to: Operand) {
+    /// `to` by scanning every instruction and terminator: the test oracle
+    /// for [`crate::uses::Uses::replace`], which passes use instead.
+    #[cfg(test)]
+    pub(crate) fn replace_all_uses_scan(&mut self, from: InstId, to: Operand) {
         for inst in &mut self.insts {
             inst.kind.for_each_operand_mut(|op| {
                 if *op == Operand::Inst(from) {
@@ -381,7 +383,7 @@ mod tests {
     #[test]
     fn replace_uses() {
         let mut f = sample();
-        f.replace_all_uses(InstId(0), Operand::i64(7));
+        crate::uses::Uses::new().replace(&mut f, InstId(0), Operand::i64(7));
         match &f.block(f.entry()).term {
             Terminator::Ret { val: Some(v) } => assert_eq!(v.as_const_int(), Some(7)),
             t => panic!("unexpected {t:?}"),

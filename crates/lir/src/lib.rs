@@ -12,9 +12,10 @@
 //! the lifted Phoenix benchmarks.
 //!
 //! The crate also ships a reference [`interp`]reter (with a pthread-style
-//! fork–join runtime) used to validate translations end-to-end, and the CFG
+//! fork–join runtime) used to validate translations end-to-end, the CFG
 //! [`analysis`] toolkit (dominators, frontiers, loops) the optimizer builds
-//! on.
+//! on, and the [`uses`] def → use index through which every pass rewrites
+//! uses.
 //!
 //! # Example
 //!
@@ -51,6 +52,7 @@ pub mod interp;
 pub mod print;
 pub mod ssa;
 pub mod types;
+pub mod uses;
 pub mod verify;
 
 pub use func::{Function, Module};

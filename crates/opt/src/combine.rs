@@ -8,6 +8,7 @@ use crate::fold::{const_int, fold_bin, fold_cast, fold_icmp};
 use lasagne_lir::analysis::Analyses;
 use lasagne_lir::func::{Function, Module};
 use lasagne_lir::inst::{BinOp, CastOp, InstId, InstKind, Operand};
+use lasagne_lir::uses::Uses;
 
 /// One `instcombine` sweep over a function. Returns the number of
 /// simplifications applied (run to fixpoint by the pipeline).
@@ -26,7 +27,8 @@ pub fn instcombine(m: &Module, f: &mut Function) -> usize {
 /// round, and stores the maintained vector back for the next pass.
 pub fn instcombine_with(m: &Module, f: &mut Function, an: &mut Analyses) -> usize {
     let mut changed = 0;
-    let mut dead: Vec<InstId> = Vec::new();
+    let mut uses = Uses::new();
+    let mut dead = vec![false; f.insts.len()];
     let ids: Vec<InstId> = f.iter_insts().map(|(_, id)| id).collect();
     for id in ids {
         if let Some(rep) = simplify(m, f, id) {
@@ -36,14 +38,14 @@ pub fn instcombine_with(m: &Module, f: &mut Function, an: &mut Analyses) -> usiz
             if rep == Operand::Inst(id) {
                 continue;
             }
-            f.replace_all_uses(id, rep);
-            dead.push(id);
+            uses.replace(f, id, rep);
+            dead[id.0 as usize] = true;
             changed += 1;
         }
     }
-    if !dead.is_empty() {
-        for b in f.block_ids().collect::<Vec<_>>() {
-            f.block_mut(b).insts.retain(|i| !dead.contains(i));
+    if changed > 0 {
+        for b in &mut f.blocks {
+            b.insts.retain(|i| !dead[i.0 as usize]);
         }
         an.note_insts_changed();
     }

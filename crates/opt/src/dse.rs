@@ -3,6 +3,7 @@
 use lasagne_fences::legality::{elim_adjacent, elim_fenced, Elim, Label};
 use lasagne_lir::func::Function;
 use lasagne_lir::inst::{FenceKind, InstId, InstKind, Operand, Ordering};
+use lasagne_lir::uses::{Site, Uses};
 
 /// Eliminates overwritten non-atomic stores within basic blocks.
 ///
@@ -12,12 +13,13 @@ use lasagne_lir::inst::{FenceKind, InstId, InstKind, Operand, Ordering};
 /// (`Frm`/`Fww` do; `Fsc` does not).
 pub fn dse(f: &mut Function) -> usize {
     let mut removed = 0;
+    let mut dead = vec![false; f.insts.len()];
     for b in f.block_ids().collect::<Vec<_>>() {
         // Pending store per pointer key: (inst id, strongest fence since).
         use std::collections::HashMap;
         let mut pending: HashMap<String, (InstId, Option<FenceKind>)> = HashMap::new();
         let ids: Vec<InstId> = f.block(b).insts.clone();
-        let mut kill: Vec<InstId> = Vec::new();
+        let mut killed = false;
         for id in ids {
             match f.inst(id).kind.clone() {
                 InstKind::Store {
@@ -34,7 +36,8 @@ pub fn dse(f: &mut Function) -> usize {
                             }
                         };
                         if legal {
-                            kill.push(*prev);
+                            dead[prev.0 as usize] = true;
+                            killed = true;
                             removed += 1;
                         }
                     }
@@ -52,8 +55,8 @@ pub fn dse(f: &mut Function) -> usize {
                 _ => {}
             }
         }
-        if !kill.is_empty() {
-            f.block_mut(b).insts.retain(|i| !kill.contains(i));
+        if killed {
+            f.block_mut(b).insts.retain(|i| !dead[i.0 as usize]);
         }
     }
     removed
@@ -61,29 +64,59 @@ pub fn dse(f: &mut Function) -> usize {
 
 /// Removes stores to allocas that are never loaded anywhere in the function
 /// (and whose address never escapes) — common after register promotion.
+///
+/// Stores are the only users this deletes, so a slot that any other
+/// instruction reads can never qualify; one walk over the function sets
+/// those aside, stopping once every slot is. The remaining slots take their
+/// users from the function's [`Uses`] index, in layout order of the slots;
+/// a user counts while it is still in a block.
 pub fn dse_dead_slots(f: &mut Function) -> usize {
+    let mut in_block = vec![false; f.insts.len()];
+    let mut allocas: Vec<InstId> = Vec::new();
+    for (_, id) in f.iter_insts() {
+        in_block[id.0 as usize] = true;
+        if matches!(f.inst(id).kind, InstKind::Alloca { .. }) {
+            allocas.push(id);
+        }
+    }
+    if allocas.is_empty() {
+        return 0;
+    }
+    // Per instruction: 1 = an unread slot, 2 = a slot something reads.
+    let mut state = vec![0u8; f.insts.len()];
+    for a in &allocas {
+        state[a.0 as usize] = 1;
+    }
+    let mut unread = allocas.len();
+    for (_, id) in f.iter_insts() {
+        let kind = &f.inst(id).kind;
+        if !matches!(kind, InstKind::Store { .. }) {
+            kind.for_each_operand(|op| {
+                if let Operand::Inst(p) = op {
+                    if state[p.0 as usize] == 1 {
+                        state[p.0 as usize] = 2;
+                        unread -= 1;
+                    }
+                }
+            });
+        }
+        if unread == 0 {
+            return 0;
+        }
+    }
+    allocas.retain(|a| state[a.0 as usize] == 1);
+    let mut uses = Uses::new();
     let mut removed = 0;
-    let allocas: Vec<InstId> = f
-        .iter_insts()
-        .filter(|(_, id)| matches!(f.inst(*id).kind, InstKind::Alloca { .. }))
-        .map(|(_, id)| id)
-        .collect();
     for slot in allocas {
         let this = Operand::Inst(slot);
         let mut only_stores = true;
         let mut stores: Vec<InstId> = Vec::new();
-        for (_, id) in f.iter_insts() {
-            let inst = f.inst(id);
-            let mut used = false;
-            inst.kind.for_each_operand(|op| {
-                if *op == this {
-                    used = true;
-                }
-            });
-            if !used {
+        for site in uses.sites(f, slot) {
+            let Site::Inst(id) = site else { continue };
+            if !in_block[id.0 as usize] {
                 continue;
             }
-            match &inst.kind {
+            match &f.inst(id).kind {
                 InstKind::Store {
                     ptr,
                     val,
@@ -99,9 +132,14 @@ pub fn dse_dead_slots(f: &mut Function) -> usize {
         }
         if only_stores && !stores.is_empty() {
             removed += stores.len();
-            for b in f.block_ids().collect::<Vec<_>>() {
-                f.block_mut(b).insts.retain(|i| !stores.contains(i));
+            for id in stores {
+                in_block[id.0 as usize] = false;
             }
+        }
+    }
+    if removed > 0 {
+        for b in &mut f.blocks {
+            b.insts.retain(|i| in_block[i.0 as usize]);
         }
     }
     removed

@@ -9,6 +9,7 @@
 use lasagne_fences::legality::{elim_adjacent, elim_fenced, Label};
 use lasagne_lir::func::{Function, Module};
 use lasagne_lir::inst::{FenceKind, InstId, InstKind, Operand};
+use lasagne_lir::uses::Uses;
 use lasagne_lir::BlockId;
 use std::collections::HashMap;
 
@@ -101,11 +102,13 @@ pub fn gvn_with(m: &Module, f: &mut Function, an: &mut lasagne_lir::analysis::An
     }
 
     let mut replaced = 0;
+    let mut uses = Uses::new();
+    let mut dead = vec![false; f.insts.len()];
     // (block, table snapshot) stack; tables are persistent maps simulated by
     // cloning (fine at our function sizes).
     let mut stack: Vec<(BlockId, HashMap<Key, InstId>)> = vec![(BlockId(0), HashMap::new())];
     while let Some((b, mut table)) = stack.pop() {
-        replaced += number_block(f, b, &mut table);
+        replaced += number_block(f, b, &mut table, &mut uses, &mut dead);
         for &c in &dom_children[b.0 as usize] {
             stack.push((c, table.clone()));
         }
@@ -113,11 +116,16 @@ pub fn gvn_with(m: &Module, f: &mut Function, an: &mut lasagne_lir::analysis::An
     replaced
 }
 
-fn number_block(f: &mut Function, b: BlockId, table: &mut HashMap<Key, InstId>) -> usize {
+fn number_block(
+    f: &mut Function,
+    b: BlockId,
+    table: &mut HashMap<Key, InstId>,
+    uses: &mut Uses,
+    dead: &mut [bool],
+) -> usize {
     let mut replaced = 0;
-    let ids: Vec<InstId> = f.block(b).insts.clone();
-    let mut kill: Vec<InstId> = Vec::new();
-    for id in ids {
+    for k in 0..f.block(b).insts.len() {
+        let id = f.block(b).insts[k];
         let inst = f.inst(id);
         let Some(key) = key_of(&inst.kind, inst.ty) else {
             continue;
@@ -125,8 +133,8 @@ fn number_block(f: &mut Function, b: BlockId, table: &mut HashMap<Key, InstId>) 
         match table.get(&key) {
             Some(prev) => {
                 let prev = *prev;
-                f.replace_all_uses(id, Operand::Inst(prev));
-                kill.push(id);
+                uses.replace(f, id, Operand::Inst(prev));
+                dead[id.0 as usize] = true;
                 replaced += 1;
             }
             None => {
@@ -134,8 +142,8 @@ fn number_block(f: &mut Function, b: BlockId, table: &mut HashMap<Key, InstId>) 
             }
         }
     }
-    if !kill.is_empty() {
-        f.block_mut(b).insts.retain(|i| !kill.contains(i));
+    if replaced > 0 {
+        f.block_mut(b).insts.retain(|i| !dead[i.0 as usize]);
     }
     replaced
 }
@@ -148,6 +156,8 @@ fn number_block(f: &mut Function, b: BlockId, table: &mut HashMap<Key, InstId>) 
 /// fenced-elimination rules.
 pub fn load_elim(f: &mut Function) -> usize {
     let mut replaced = 0;
+    let mut uses = Uses::new();
+    let mut dead = vec![false; f.insts.len()];
     for b in f.block_ids().collect::<Vec<_>>() {
         // Available value per pointer: (value operand, producing label,
         // fence seen since (strongest first)).
@@ -159,7 +169,7 @@ pub fn load_elim(f: &mut Function) -> usize {
         }
         let mut avail: HashMap<OpKey, Avail> = HashMap::new();
         let ids: Vec<InstId> = f.block(b).insts.clone();
-        let mut kill: Vec<InstId> = Vec::new();
+        let mut killed = false;
         for id in ids {
             let kind = f.inst(id).kind.clone();
             match &kind {
@@ -174,8 +184,9 @@ pub fn load_elim(f: &mut Function) -> usize {
                             Some(fk) => elim_fenced(a.label, fk, Label::Rna).is_some(),
                         };
                         if ok {
-                            f.replace_all_uses(id, a.val);
-                            kill.push(id);
+                            uses.replace(f, id, a.val);
+                            dead[id.0 as usize] = true;
+                            killed = true;
                             replaced += 1;
                             continue;
                         }
@@ -221,8 +232,8 @@ pub fn load_elim(f: &mut Function) -> usize {
                 _ => {}
             }
         }
-        if !kill.is_empty() {
-            f.block_mut(b).insts.retain(|i| !kill.contains(i));
+        if killed {
+            f.block_mut(b).insts.retain(|i| !dead[i.0 as usize]);
         }
     }
     replaced

@@ -12,6 +12,7 @@
 use lasagne_lir::analysis::find_loops;
 use lasagne_lir::func::Function;
 use lasagne_lir::inst::{InstId, InstKind, Operand, Ordering};
+use lasagne_lir::uses::Uses;
 use lasagne_lir::BlockId;
 use std::collections::BTreeSet;
 
@@ -27,6 +28,10 @@ pub fn licm_with(f: &mut Function, an: &mut lasagne_lir::analysis::Analyses) -> 
     let (cfg, doms) = an.cfg_and_doms(f);
     let loops = find_loops(cfg, doms);
     let mut hoisted = 0;
+    // Built on the first duplicate any preheader merges, then shared by
+    // every loop: hoisting moves instructions but never edits operands.
+    let mut uses = Uses::new();
+    let mut dead: Vec<bool> = Vec::new();
 
     for lp in loops {
         let Some(preheader) = doms.idom[lp.header.0 as usize] else {
@@ -128,7 +133,7 @@ pub fn licm_with(f: &mut Function, an: &mut lasagne_lir::analysis::Analyses) -> 
             }
         }
         // Merge duplicate hoisted expressions in the preheader.
-        hoisted += dedup_block(f, preheader);
+        hoisted += dedup_block(f, preheader, &mut uses, &mut dead);
         let _ = in_loop;
     }
     hoisted
@@ -136,11 +141,11 @@ pub fn licm_with(f: &mut Function, an: &mut lasagne_lir::analysis::Analyses) -> 
 
 /// Local value numbering within one block: replaces later duplicates of a
 /// pure expression with the first occurrence.
-fn dedup_block(f: &mut Function, b: BlockId) -> usize {
+fn dedup_block(f: &mut Function, b: BlockId, uses: &mut Uses, dead: &mut Vec<bool>) -> usize {
     use std::collections::HashMap;
     let mut seen: HashMap<String, InstId> = HashMap::new();
     let ids: Vec<InstId> = f.block(b).insts.clone();
-    let mut kill: Vec<InstId> = Vec::new();
+    let mut n = 0;
     for id in ids {
         let inst = f.inst(id);
         let pure = matches!(
@@ -159,17 +164,18 @@ fn dedup_block(f: &mut Function, b: BlockId) -> usize {
         match seen.get(&key) {
             Some(prev) => {
                 let prev = *prev;
-                f.replace_all_uses(id, Operand::Inst(prev));
-                kill.push(id);
+                uses.replace(f, id, Operand::Inst(prev));
+                dead.resize(f.insts.len(), false);
+                dead[id.0 as usize] = true;
+                n += 1;
             }
             None => {
                 seen.insert(key, id);
             }
         }
     }
-    let n = kill.len();
     if n > 0 {
-        f.block_mut(b).insts.retain(|i| !kill.contains(i));
+        f.block_mut(b).insts.retain(|i| !dead[i.0 as usize]);
     }
     n
 }

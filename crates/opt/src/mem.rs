@@ -6,6 +6,7 @@
 use lasagne_lir::func::Function;
 use lasagne_lir::inst::{CastOp, InstId, InstKind, Operand, Ordering};
 use lasagne_lir::types::{Pointee, Ty};
+use lasagne_lir::uses::{Site, Uses};
 use std::collections::BTreeMap;
 
 /// Promotes all eligible allocas to SSA (the classic `mem2reg`).
@@ -66,58 +67,113 @@ fn classify_access(f: &Function, slot: InstId, mem_inst: InstId, ptr: &Operand) 
     })
 }
 
-/// Splits allocas whose every use is a fixed-offset scalar access into one
-/// alloca per disjoint byte range. Returns the number of allocas split.
-pub fn sroa(f: &mut Function) -> usize {
-    let slots: Vec<(InstId, u64)> = f
-        .iter_insts()
-        .filter_map(|(_, id)| match f.inst(id).kind {
-            InstKind::Alloca { size } => Some((id, size)),
-            _ => None,
-        })
-        .collect();
+/// Layout position of an instruction that is in no block.
+const NOT_IN_BLOCK: u32 = u32::MAX;
 
-    let mut split = 0;
-    for (slot, size) in slots {
-        // Gather all uses; every use must be (transitively) a classified
-        // scalar access.
-        let mut accesses: Vec<Access> = Vec::new();
-        let mut ok = true;
-        // Intermediate pointer instructions (geps/bitcasts) rooted at slot.
-        let mut derived: Vec<InstId> = vec![slot];
-        // First collect derived pointers.
-        for (_, id) in f.iter_insts() {
-            match &f.inst(id).kind {
+/// The pointers derived from `slot` (marked in `is_derived`, which the
+/// caller clears) and every in-block instruction reading one of them, in
+/// layout order.
+fn slot_users(
+    f: &Function,
+    uses: &mut Uses,
+    pos: &[u32],
+    is_derived: &mut [bool],
+    slot: InstId,
+) -> (Vec<InstId>, Vec<InstId>) {
+    let at = |id: InstId| pos.get(id.0 as usize).copied().unwrap_or(NOT_IN_BLOCK);
+    let mut derived = vec![slot];
+    is_derived[slot.0 as usize] = true;
+    let mut users: Vec<InstId> = Vec::new();
+    let mut next = 0;
+    while next < derived.len() {
+        let d = derived[next];
+        next += 1;
+        for site in uses.sites(f, d) {
+            let Site::Inst(u) = site else { continue };
+            if at(u) == NOT_IN_BLOCK {
+                continue;
+            }
+            users.push(u);
+            if is_derived[u.0 as usize] {
+                continue;
+            }
+            let derives = match &f.inst(u).kind {
                 InstKind::Gep {
                     base: Operand::Inst(b),
                     offset,
                     ..
-                } if *b == slot && offset.as_const_int().is_some() => {
-                    derived.push(id);
-                }
+                } => *b == slot && offset.as_const_int().is_some(),
                 InstKind::Cast {
                     op: CastOp::BitCast,
                     val: Operand::Inst(v),
-                } if derived.contains(v) => {
-                    derived.push(id);
-                }
-                _ => {}
+                } => *v == d && (d == slot || at(d) < at(u)),
+                _ => false,
+            };
+            if derives {
+                is_derived[u.0 as usize] = true;
+                derived.push(u);
             }
         }
-        // Then check all uses of slot/derived.
-        for (_, id) in f.iter_insts() {
+    }
+    // Drop stale sites, then visit each user once, in layout order.
+    users.retain(|u| {
+        let mut reads = false;
+        f.inst(*u).kind.for_each_operand(|op| {
+            reads |= matches!(op, Operand::Inst(i) if is_derived[i.0 as usize]);
+        });
+        reads
+    });
+    users.sort_unstable_by_key(|u| at(*u));
+    users.dedup();
+    (derived, users)
+}
+
+/// Splits allocas whose every use is a fixed-offset scalar access into one
+/// alloca per disjoint byte range. Returns the number of allocas split.
+///
+/// Each slot's derived pointers and accesses come from the function's
+/// [`Uses`] index, visited in layout order. A pointer derives from the slot
+/// when it is a constant-offset `gep` of the slot, or a `bitcast` of a
+/// derived pointer that precedes it in the layout.
+pub fn sroa(f: &mut Function) -> usize {
+    // Layout position of every instruction in a block. Splitting only
+    // inserts new allocas, which keeps the relative order of the rest.
+    let mut pos = vec![NOT_IN_BLOCK; f.insts.len()];
+    let mut slots: Vec<(InstId, u64)> = Vec::new();
+    // Splitting needs accesses at two offsets, so one at a nonzero offset,
+    // which only a constant-offset `gep` of the slot yields: a slot without
+    // one is skipped before the index is consulted.
+    let mut gep_base = vec![false; f.insts.len()];
+    for (k, (_, id)) in f.iter_insts().enumerate() {
+        pos[id.0 as usize] = k as u32;
+        match &f.inst(id).kind {
+            InstKind::Alloca { size } => slots.push((id, *size)),
+            InstKind::Gep {
+                base: Operand::Inst(b),
+                offset,
+                ..
+            } if offset.as_const_int().is_some() => gep_base[b.0 as usize] = true,
+            _ => {}
+        }
+    }
+    slots.retain(|(id, _)| gep_base[id.0 as usize]);
+    if slots.is_empty() {
+        return 0;
+    }
+    let mut uses = Uses::new();
+    let mut is_derived = vec![false; f.insts.len()];
+
+    let mut split = 0;
+    for (slot, size) in slots {
+        // Earlier splits may have appended allocas to the arena.
+        is_derived.resize(f.insts.len(), false);
+        let (derived, users) = slot_users(f, &mut uses, &pos, &mut is_derived, slot);
+        // Every user must be a classified scalar access or a derived
+        // pointer computation.
+        let mut accesses: Vec<Access> = Vec::new();
+        let mut ok = true;
+        for id in users {
             let inst = f.inst(id);
-            let mut touches = false;
-            inst.kind.for_each_operand(|op| {
-                if let Operand::Inst(i) = op {
-                    if derived.contains(i) {
-                        touches = true;
-                    }
-                }
-            });
-            if !touches {
-                continue;
-            }
             match &inst.kind {
                 InstKind::Load {
                     ptr,
@@ -135,13 +191,7 @@ pub fn sroa(f: &mut Function) -> usize {
                     order: Ordering::NotAtomic,
                 } => {
                     // The value stored must not be the pointer itself.
-                    let mut escapes = false;
-                    if let Operand::Inst(v) = val {
-                        if derived.contains(v) {
-                            escapes = true;
-                        }
-                    }
-                    if escapes {
+                    if matches!(val, Operand::Inst(v) if is_derived[v.0 as usize]) {
                         ok = false;
                         break;
                     }
@@ -164,6 +214,9 @@ pub fn sroa(f: &mut Function) -> usize {
                     break;
                 }
             }
+        }
+        for d in derived {
+            is_derived[d.0 as usize] = false;
         }
         if !ok || accesses.is_empty() {
             continue;
@@ -244,6 +297,8 @@ pub fn sroa(f: &mut Function) -> usize {
                 InstKind::Load { ptr, .. } | InstKind::Store { ptr, .. } => *ptr = ptr_op,
                 _ => unreachable!(),
             }
+            uses.note_inst(f, a.ptr_inst);
+            uses.note_inst(f, a.inst);
         }
         split += 1;
     }
@@ -428,5 +483,91 @@ mod tests {
             },
         );
         assert_eq!(sroa(&mut f), 0);
+    }
+
+    /// Derived pointers follow the layout: a `bitcast` placed before the
+    /// `gep` it casts is not derived from the slot, so the load through it
+    /// is no access and keeps its pointer when the slot splits.
+    #[test]
+    fn derived_pointers_follow_layout_order() {
+        let mut f = Function::new("f", vec![Ty::F64], Ty::Void);
+        let e = f.entry();
+        let late = f.add_block();
+        let slot = f.push(e, Ty::Ptr(Pointee::I8), InstKind::Alloca { size: 16 });
+        let cast = |f: &mut Function, b, v| {
+            f.push(
+                b,
+                Ty::Ptr(Pointee::F64),
+                InstKind::Cast {
+                    op: CastOp::BitCast,
+                    val: Operand::Inst(v),
+                },
+            )
+        };
+        let gep8 = |f: &mut Function, b| {
+            f.push(
+                b,
+                Ty::Ptr(Pointee::I8),
+                InstKind::Gep {
+                    base: Operand::Inst(slot),
+                    offset: Operand::i64(8),
+                    elem_size: 1,
+                },
+            )
+        };
+        let store = |f: &mut Function, b, p| {
+            f.push(
+                b,
+                Ty::Void,
+                InstKind::Store {
+                    ptr: Operand::Inst(p),
+                    val: Operand::Param(0),
+                    order: Ordering::NotAtomic,
+                },
+            )
+        };
+        let lo = cast(&mut f, e, slot);
+        store(&mut f, e, lo);
+        let hi = gep8(&mut f, e);
+        let hi_ptr = cast(&mut f, e, hi);
+        store(&mut f, e, hi_ptr);
+        // A cast of a gep that only appears later in the layout.
+        let early = f.insts.len() as u32 + 2;
+        let early_cast = f.push(
+            e,
+            Ty::Ptr(Pointee::F64),
+            InstKind::Cast {
+                op: CastOp::BitCast,
+                val: Operand::Inst(InstId(early)),
+            },
+        );
+        let l = f.push(
+            e,
+            Ty::F64,
+            InstKind::Load {
+                ptr: Operand::Inst(early_cast),
+                order: Ordering::NotAtomic,
+            },
+        );
+        f.set_term(e, Terminator::Br { dest: late });
+        let late_gep = gep8(&mut f, late);
+        assert_eq!(late_gep, InstId(early));
+        f.set_term(late, Terminator::Ret { val: None });
+
+        assert_eq!(sroa(&mut f), 1);
+        assert_eq!(
+            f.inst(l).kind,
+            InstKind::Load {
+                ptr: Operand::Inst(early_cast),
+                order: Ordering::NotAtomic,
+            }
+        );
+        assert_eq!(
+            f.inst(early_cast).kind,
+            InstKind::Cast {
+                op: CastOp::BitCast,
+                val: Operand::Inst(late_gep),
+            }
+        );
     }
 }

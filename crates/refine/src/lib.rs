@@ -27,6 +27,7 @@
 use lasagne_lir::func::{Function, Module};
 use lasagne_lir::inst::{Callee, CastOp, InstId, InstKind, Operand};
 use lasagne_lir::types::{Pointee, Ty};
+use lasagne_lir::uses::Uses;
 use lasagne_lir::BlockId;
 use lasagne_pool::Pool;
 use lasagne_trace::{ArgVal, TraceCtx};
@@ -350,11 +351,13 @@ pub fn promote_pointer_params_traced(m: &mut Module, ctx: &TraceCtx) -> usize {
             };
             m.funcs[fi].params[pi] = new_ty;
             // Rewrite the inttoptr users: same type ⇒ replace uses directly;
-            // otherwise turn the cast into a bitcast from the parameter.
+            // otherwise turn the cast into a bitcast from the parameter
+            // (which changes no instruction operand `uses` tracks).
+            let mut uses = Uses::new();
             for id in user_ids {
                 let f = &mut m.funcs[fi];
                 if f.inst(id).ty == new_ty {
-                    f.replace_all_uses(id, Operand::Param(pi as u32));
+                    uses.replace(f, id, Operand::Param(pi as u32));
                     if let Some((b, pos)) = position_of(f, id) {
                         f.block_mut(b).insts.remove(pos);
                     }

@@ -84,6 +84,26 @@ fn cold_trace_covers_all_six_stages_and_warm_trace_is_one_cache_hit() {
         !cold_cats.iter().any(|c| c == "cache"),
         "cold trace contains cache events: {cold_cats:?}"
     );
+    // Lifting shows its sub-phases, and the promote span its work counts.
+    let cold_doc = json::parse(&cold).unwrap();
+    let cold_events = cold_doc.get("traceEvents").unwrap().as_arr().unwrap();
+    for phase in ["lift.translate", "lift.promote", "lift.compact"] {
+        assert!(
+            cold_events
+                .iter()
+                .any(|e| e.get("name").and_then(|n| n.as_str()) == Some(phase)),
+            "cold trace has no {phase} span"
+        );
+    }
+    assert!(
+        cold_events.iter().any(|e| {
+            e.get("name").and_then(|n| n.as_str()) == Some("lift.promote")
+                && e.get("args")
+                    .and_then(|a| a.get("uses_rewritten"))
+                    .is_some()
+        }),
+        "lift.promote spans carry no uses_rewritten count"
+    );
 
     let warm = std::fs::read_to_string(&warm_path).expect("warm trace written");
     let warm_cats = categories(&warm);
