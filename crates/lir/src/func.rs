@@ -98,6 +98,20 @@ impl Function {
         &mut self.insts[id.0 as usize]
     }
 
+    /// The type of an operand of this function.
+    pub fn operand_ty(&self, op: &Operand) -> Ty {
+        match op {
+            Operand::Inst(id) => self.inst(*id).ty,
+            Operand::Param(i) => self.params[*i as usize],
+            Operand::ConstInt { ty, .. } => *ty,
+            Operand::ConstF32(_) => Ty::F32,
+            Operand::ConstF64(_) => Ty::F64,
+            Operand::Global(_) => Ty::Ptr(crate::types::Pointee::I8),
+            Operand::Func(_) => Ty::Ptr(crate::types::Pointee::I8),
+            Operand::Undef(ty) => *ty,
+        }
+    }
+
     /// Immutable block access.
     pub fn block(&self, id: BlockId) -> &Block {
         &self.blocks[id.0 as usize]
@@ -310,16 +324,7 @@ impl Module {
 
     /// The type of an operand, resolved against function `f`.
     pub fn operand_ty(&self, f: &Function, op: &Operand) -> Ty {
-        match op {
-            Operand::Inst(id) => f.inst(*id).ty,
-            Operand::Param(i) => f.params[*i as usize],
-            Operand::ConstInt { ty, .. } => *ty,
-            Operand::ConstF32(_) => Ty::F32,
-            Operand::ConstF64(_) => Ty::F64,
-            Operand::Global(_) => Ty::Ptr(crate::types::Pointee::I8),
-            Operand::Func(_) => Ty::Ptr(crate::types::Pointee::I8),
-            Operand::Undef(ty) => *ty,
-        }
+        f.operand_ty(op)
     }
 
     /// Total live instruction count across all functions — the code-size

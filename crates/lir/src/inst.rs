@@ -24,7 +24,10 @@ pub struct GlobalId(pub u32);
 pub struct ExternId(pub u32);
 
 /// An operand: an SSA value reference or an immediate constant.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// Floating constants are stored as bit patterns, so operands compare and
+/// hash structurally and can key pass tables directly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// Result of an instruction.
     Inst(InstId),
@@ -333,7 +336,7 @@ impl RmwOp {
 }
 
 /// Call target.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Callee {
     /// A function in this module.
     Func(FuncId),
@@ -378,7 +381,7 @@ impl CastOp {
 }
 
 /// The operation performed by an instruction.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum InstKind {
     /// Binary arithmetic/logic.
     Bin {

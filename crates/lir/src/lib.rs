@@ -47,6 +47,7 @@
 
 pub mod analysis;
 pub mod func;
+pub mod hash;
 pub mod inst;
 pub mod interp;
 pub mod print;

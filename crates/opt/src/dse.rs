@@ -2,32 +2,34 @@
 
 use lasagne_fences::legality::{elim_adjacent, elim_fenced, Elim, Label};
 use lasagne_lir::func::Function;
+use lasagne_lir::hash::FastMap;
 use lasagne_lir::inst::{FenceKind, InstId, InstKind, Operand, Ordering};
 use lasagne_lir::uses::{Site, Uses};
+use lasagne_lir::Ty;
 
 /// Eliminates overwritten non-atomic stores within basic blocks.
 ///
-/// `store p, a; … ; store p, b` kills the first store when nothing between
-/// them can read `p` (no loads, calls, or RMWs at all, conservatively) and
-/// any intervening fences admit the W-after-W elimination of Figure 11b
-/// (`Frm`/`Fww` do; `Fsc` does not).
+/// `store p, a; … ; store p, b` kills the first store when `a` and `b` have
+/// the same type, nothing between them can read `p` (no loads, calls, or
+/// RMWs at all, conservatively) and any intervening fences admit the
+/// W-after-W elimination of Figure 11b (`Frm`/`Fww` do; `Fsc` does not).
 pub fn dse(f: &mut Function) -> usize {
     let mut removed = 0;
     let mut dead = vec![false; f.insts.len()];
-    for b in f.block_ids().collect::<Vec<_>>() {
-        // Pending store per pointer key: (inst id, strongest fence since).
-        use std::collections::HashMap;
-        let mut pending: HashMap<String, (InstId, Option<FenceKind>)> = HashMap::new();
-        let ids: Vec<InstId> = f.block(b).insts.clone();
+    // Pending store per (pointer, stored type): (inst id, strongest fence
+    // since). One table serves every block, cleared at each block's start.
+    let mut pending: FastMap<(Operand, Ty), (InstId, Option<FenceKind>)> = FastMap::default();
+    for b in f.block_ids() {
+        pending.clear();
         let mut killed = false;
-        for id in ids {
-            match f.inst(id).kind.clone() {
+        for &id in &f.block(b).insts {
+            match f.inst(id).kind {
                 InstKind::Store {
                     ptr,
+                    val,
                     order: Ordering::NotAtomic,
-                    ..
                 } => {
-                    let key = format!("{ptr:?}");
+                    let key = (ptr, f.operand_ty(&val));
                     if let Some((prev, fence)) = pending.get(&key) {
                         let legal = match fence {
                             None => elim_adjacent(Label::Wna, Label::Wna) == Some(Elim::DropFirst),
@@ -51,7 +53,7 @@ pub fn dse(f: &mut Function) -> usize {
                         });
                     }
                 }
-                k if k.touches_memory() => pending.clear(),
+                ref k if k.touches_memory() => pending.clear(),
                 _ => {}
             }
         }
@@ -251,6 +253,33 @@ mod tests {
     }
 
     #[test]
+    fn store_of_another_width_does_not_kill() {
+        // `store i64; store i32` to one address leaves the i64 store's
+        // upper bytes live; only a same-typed store overwrites all of it.
+        for (first, then, expect) in [
+            (Ty::I64, Ty::I32, 0),
+            (Ty::I32, Ty::I64, 0),
+            (Ty::I32, Ty::I32, 1),
+        ] {
+            let mut f = Function::new("f", vec![Ty::Ptr(Pointee::I8)], Ty::Void);
+            let e = f.entry();
+            for ty in [first, then] {
+                f.push(
+                    e,
+                    Ty::Void,
+                    InstKind::Store {
+                        ptr: Operand::Param(0),
+                        val: Operand::ConstInt { ty, val: 1 },
+                        order: Ordering::NotAtomic,
+                    },
+                );
+            }
+            f.set_term(e, Terminator::Ret { val: None });
+            assert_eq!(dse(&mut f), expect, "{first} then {then}");
+        }
+    }
+
+    #[test]
     fn dead_slot_stores_removed() {
         let mut f = Function::new("f", vec![], Ty::Void);
         let e = f.entry();
@@ -301,5 +330,38 @@ mod tests {
         );
         f.set_term(e, Terminator::Ret { val: None });
         assert_eq!(dse(&mut f), 0);
+    }
+
+    /// Two stores to `ptr_a` then `ptr_b`: the first dies iff the pending
+    /// table keys them equal.
+    fn overwrites(ptr_a: Operand, ptr_b: Operand) -> usize {
+        let mut f = Function::new("f", vec![], Ty::Void);
+        let e = f.entry();
+        for ptr in [ptr_a, ptr_b] {
+            f.push(
+                e,
+                Ty::Void,
+                InstKind::Store {
+                    ptr,
+                    val: Operand::i64(1),
+                    order: Ordering::NotAtomic,
+                },
+            );
+        }
+        f.set_term(e, Terminator::Ret { val: None });
+        dse(&mut f)
+    }
+
+    #[test]
+    fn pending_keys_are_exact_operands() {
+        let undef = |p| Operand::Undef(Ty::Ptr(p));
+        assert_eq!(overwrites(undef(Pointee::I64), undef(Pointee::I64)), 1);
+        assert_eq!(overwrites(undef(Pointee::I32), undef(Pointee::I64)), 0);
+        // The key is the operand, not its value: a constant address of
+        // another integer type is another key (the pass does not type-check
+        // addresses, so the ill-typed spelling is fine here).
+        let addr = |ty| Operand::ConstInt { ty, val: 4096 };
+        assert_eq!(overwrites(addr(Ty::I64), addr(Ty::I64)), 1);
+        assert_eq!(overwrites(addr(Ty::I32), addr(Ty::I64)), 0);
     }
 }

@@ -11,9 +11,10 @@
 
 use lasagne_lir::analysis::find_loops;
 use lasagne_lir::func::Function;
+use lasagne_lir::hash::FastMap;
 use lasagne_lir::inst::{InstId, InstKind, Operand, Ordering};
 use lasagne_lir::uses::Uses;
-use lasagne_lir::BlockId;
+use lasagne_lir::{BlockId, Ty};
 use std::collections::BTreeSet;
 
 /// Hoists loop-invariant instructions. Returns the number hoisted.
@@ -140,13 +141,14 @@ pub fn licm_with(f: &mut Function, an: &mut lasagne_lir::analysis::Analyses) -> 
 }
 
 /// Local value numbering within one block: replaces later duplicates of a
-/// pure expression with the first occurrence.
+/// pure expression with the first occurrence. A duplicate has the same
+/// result type and the expression exactly as written: operands in place
+/// (no commutation), constants and `undef` with their types.
 fn dedup_block(f: &mut Function, b: BlockId, uses: &mut Uses, dead: &mut Vec<bool>) -> usize {
-    use std::collections::HashMap;
-    let mut seen: HashMap<String, InstId> = HashMap::new();
-    let ids: Vec<InstId> = f.block(b).insts.clone();
+    let mut seen: FastMap<(Ty, InstKind), InstId> = FastMap::default();
     let mut n = 0;
-    for id in ids {
+    for k in 0..f.block(b).insts.len() {
+        let id = f.block(b).insts[k];
         let inst = f.inst(id);
         let pure = matches!(
             inst.kind,
@@ -160,10 +162,9 @@ fn dedup_block(f: &mut Function, b: BlockId, uses: &mut Uses, dead: &mut Vec<boo
         if !pure {
             continue;
         }
-        let key = format!("{:?}|{:?}", inst.ty, inst.kind);
+        let key = (inst.ty, inst.kind.clone());
         match seen.get(&key) {
-            Some(prev) => {
-                let prev = *prev;
+            Some(&prev) => {
                 uses.replace(f, id, Operand::Inst(prev));
                 dead.resize(f.insts.len(), false);
                 dead[id.0 as usize] = true;
@@ -183,7 +184,7 @@ fn dedup_block(f: &mut Function, b: BlockId, uses: &mut Uses, dead: &mut Vec<boo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lasagne_lir::inst::{BinOp, IPred, Terminator};
+    use lasagne_lir::inst::{BinOp, CastOp, IPred, Terminator};
     use lasagne_lir::types::{Pointee, Ty};
 
     /// while (i < n) { t = a*b; i += t }  — a*b hoists.
@@ -387,5 +388,83 @@ mod tests {
         );
         licm(&mut f);
         assert!(f.block(body).insts.contains(&d));
+    }
+
+    /// Runs `dedup_block` on one block holding `exprs`, in order; returns
+    /// how many it merged.
+    fn dedup(exprs: &[(Ty, InstKind)]) -> usize {
+        let mut f = Function::new("f", vec![Ty::I64, Ty::I64], Ty::Void);
+        let e = f.entry();
+        for (ty, kind) in exprs {
+            f.push(e, *ty, kind.clone());
+        }
+        f.set_term(e, Terminator::Ret { val: None });
+        dedup_block(&mut f, e, &mut Uses::new(), &mut Vec::new())
+    }
+
+    fn eq(lhs: Operand, rhs: Operand) -> (Ty, InstKind) {
+        (
+            Ty::I1,
+            InstKind::ICmp {
+                pred: IPred::Eq,
+                lhs,
+                rhs,
+            },
+        )
+    }
+
+    #[test]
+    fn dedup_keys_are_exact_expressions() {
+        let undef = Operand::Undef;
+        let int = |ty, val| Operand::ConstInt { ty, val };
+        // Exact duplicates merge.
+        assert_eq!(
+            dedup(&[
+                eq(undef(Ty::I64), undef(Ty::I64)),
+                eq(undef(Ty::I64), undef(Ty::I64)),
+            ]),
+            1
+        );
+        // `undef` keeps its type, and so does an integer constant.
+        assert_eq!(
+            dedup(&[
+                eq(undef(Ty::I32), undef(Ty::I32)),
+                eq(undef(Ty::I64), undef(Ty::I64)),
+            ]),
+            0
+        );
+        assert_eq!(
+            dedup(&[
+                eq(int(Ty::I32, 5), int(Ty::I32, 5)),
+                eq(int(Ty::I64, 5), int(Ty::I64, 5))
+            ]),
+            0
+        );
+        // No commutation: `p0 + p1` and `p1 + p0` both stay.
+        let add = |lhs, rhs| {
+            (
+                Ty::I64,
+                InstKind::Bin {
+                    op: BinOp::Add,
+                    lhs,
+                    rhs,
+                },
+            )
+        };
+        let (p0, p1) = (Operand::Param(0), Operand::Param(1));
+        assert_eq!(dedup(&[add(p0, p1), add(p1, p0)]), 0);
+        assert_eq!(dedup(&[add(p0, p1), add(p0, p1)]), 1);
+        // The result type is part of the key.
+        let trunc = |ty| {
+            (
+                ty,
+                InstKind::Cast {
+                    op: CastOp::Trunc,
+                    val: p0,
+                },
+            )
+        };
+        assert_eq!(dedup(&[trunc(Ty::I32), trunc(Ty::I16)]), 0);
+        assert_eq!(dedup(&[trunc(Ty::I32), trunc(Ty::I32)]), 1);
     }
 }
